@@ -17,7 +17,7 @@ from .oracle import (
 )
 from .probe import SimilarityReport, compare_strategies, probe
 from .routing import RouteMask, RoutePlan, cost_of, ee_mask, rls_mask, uls_mask
-from .training import TrainConfig, finetune, finetune_layerdrop, train_controllers
+from .training import TrainConfig, finetune, train_controllers
 
 __version__ = "0.1.0"
 
@@ -62,6 +62,5 @@ __all__ = [
     "uls_mask",
     "TrainConfig",
     "finetune",
-    "finetune_layerdrop",
     "train_controllers",
 ]

@@ -259,56 +259,58 @@ def _gelu_forward(x: np.ndarray) -> np.ndarray:
 
 
 def _layer_norm_forward(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float) -> np.ndarray:
-    mu = x.mean(axis=-1, keepdims=True)
+    # sum / d is bit-identical to mean and skips numpy's Python-level mean
+    # wrapper, which dominates on the single rows of a decode step.
+    d = x.shape[-1]
+    mu = x.sum(axis=-1, keepdims=True) / d
     xc = x - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
+    var = (xc * xc).sum(axis=-1, keepdims=True) / d
     return xc / np.sqrt(var + eps) * gain + bias
 
 
+def _heads(x: np.ndarray, num_heads: int) -> np.ndarray:
+    """(T, d) rows as (H, T, d / H) head-leading blocks."""
+    return x.reshape(x.shape[0], num_heads, -1).transpose(1, 0, 2)
+
+
+def _merge_heads(x: np.ndarray) -> np.ndarray:
+    """Inverse of `_heads`: (H, T, d / H) back to (T, d)."""
+    return x.transpose(1, 0, 2).reshape(x.shape[1], -1)
+
+
 def _attention_weights(q: np.ndarray, k: np.ndarray, num_heads: int) -> np.ndarray:
-    """(T, H, T) causal softmax weights."""
-    t, d = q.shape
-    hd = d // num_heads
-    qh = q.reshape(t, num_heads, hd)
-    kh = k.reshape(t, num_heads, hd)
-    scores = np.einsum("ihd,jhd->ihj", qh, kh) / math.sqrt(hd)
-    mask = np.tril(np.ones((t, t), dtype=bool))
-    scores = np.where(mask[:, None, :], scores, -np.inf)
+    """(H, Tq, Tk) causal softmax weights for q (Tq, d) against k (Tk, d),
+    Tq <= Tk: query row i sits at position Tk - Tq + i and attends to keys
+    0..Tk - Tq + i. The one attention kernel of the package: the tape op, the
+    whole-sequence forward and the incremental decode step all use it."""
+    tq, tk = q.shape[0], k.shape[0]
+    scores = _heads(q, num_heads) @ _heads(k, num_heads).transpose(0, 2, 1)
+    scores /= math.sqrt(q.shape[1] // num_heads)
+    scores = np.where(np.tri(tq, tk, tk - tq, dtype=bool), scores, -np.inf)
     scores -= scores.max(axis=-1, keepdims=True)
     e = np.exp(scores)
     return e / e.sum(axis=-1, keepdims=True)
 
 
 def _attention_apply(weights: np.ndarray, v: np.ndarray) -> np.ndarray:
-    t, d = v.shape
-    vh = v.reshape(t, weights.shape[1], -1)
-    out = np.einsum("ihj,jhd->ihd", weights, vh)
-    return out.reshape(t, d)
-
-
-def _causal_attention_forward(q: np.ndarray, k: np.ndarray, v: np.ndarray, num_heads: int) -> np.ndarray:
-    return _attention_apply(_attention_weights(q, k, num_heads), v)
+    """(Tq, d) attention output from (H, Tq, Tk) weights and v (Tk, d)."""
+    return _merge_heads(weights @ _heads(v, weights.shape[0]))
 
 
 def _vjp_causal_attention(g, ins, out, at):
     q, k, v = ins
     num_heads = at["num_heads"]
-    t, d = q.shape
-    hd = d // num_heads
-    qh = q.reshape(t, num_heads, hd)
-    kh = k.reshape(t, num_heads, hd)
-    vh = v.reshape(t, num_heads, hd)
-    gh = g.reshape(t, num_heads, hd)
+    qh, kh, vh, gh = (_heads(x, num_heads) for x in (q, k, v, g))
     weights = at.get("weights")
     if weights is None:
         weights = _attention_weights(q, k, num_heads)
-    g_weights = np.einsum("ihd,jhd->ihj", gh, vh)
+    g_weights = gh @ vh.transpose(0, 2, 1)
     g_scores = weights * (g_weights - (weights * g_weights).sum(axis=-1, keepdims=True))
-    scale = 1.0 / math.sqrt(hd)
-    gq = scale * np.einsum("ihj,jhd->ihd", g_scores, kh)
-    gk = scale * np.einsum("ihj,ihd->jhd", g_scores, qh)
-    gv = np.einsum("ihj,ihd->jhd", weights, gh)
-    return [gq.reshape(t, d), gk.reshape(t, d), gv.reshape(t, d)]
+    g_scores /= math.sqrt(q.shape[1] // num_heads)
+    gq = g_scores @ kh
+    gk = g_scores.transpose(0, 2, 1) @ qh
+    gv = weights.transpose(0, 2, 1) @ gh
+    return [_merge_heads(gq), _merge_heads(gk), _merge_heads(gv)]
 
 
 _FORWARD: dict[str, Callable] = {
@@ -323,7 +325,9 @@ _FORWARD: dict[str, Callable] = {
     "log_softmax": lambda ins, at: _log_softmax_forward(ins[0]),
     "gelu": lambda ins, at: _gelu_forward(ins[0]),
     "embedding": lambda ins, at: ins[0][at["ids"]],
-    "causal_attention": lambda ins, at: _causal_attention_forward(ins[0], ins[1], ins[2], at["num_heads"]),
+    "causal_attention": lambda ins, at: _attention_apply(
+        _attention_weights(ins[0], ins[1], at["num_heads"]), ins[2]
+    ),
     "concatenate": lambda ins, at: np.concatenate(list(ins), axis=at["axis"]),
     "slice": lambda ins, at: ins[0][tuple(np.s_[a:b] for a, b in at["spans"])].copy(),
     "transpose": lambda ins, at: ins[0].T.copy(),

@@ -10,6 +10,7 @@ from .controller import InputMode
 from .experiment import (
     ExperimentConfig,
     MissingArtifact,
+    parse_strategies,
     stage_chi2,
     stage_gen_corpus,
     stage_generate,
@@ -19,7 +20,6 @@ from .experiment import (
     stage_train,
     stage_train_controllers,
 )
-from .routing import RoutePlan
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -64,28 +64,6 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _strategies(cfg: ExperimentConfig, text: str | None) -> list[RoutePlan] | None:
-    if text is None:
-        return None
-    L = cfg.model_config().num_layers
-    plans = []
-    for name in text.split(","):
-        name = name.strip()
-        if name == "ee":
-            plans.append(RoutePlan.early_exit(L, L))
-        elif name == "uls":
-            plans.append(RoutePlan.uniform_skip(L, L))
-        elif name == "rls":
-            plans.append(RoutePlan.random_skip(L, L))
-        elif name == "rls_no1":
-            plans.append(RoutePlan.random_skip(L, L, enforce_first=False))
-        elif name == "full":
-            plans.append(RoutePlan.full(L))
-        else:
-            raise ValueError(f"unknown strategy {name!r}")
-    return plans
-
-
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
@@ -104,7 +82,10 @@ def main(argv: list[str] | None = None) -> int:
             stage_generate(cfg, out, costs=costs)
         elif args.command == "probe":
             costs = [int(c) for c in args.costs.split(",")] if args.costs else None
-            stage_probe(cfg, out, strategies=_strategies(cfg, args.strategies), costs=costs)
+            strategies = None
+            if args.strategies is not None:
+                strategies = parse_strategies(args.strategies, cfg.model_config().num_layers)
+            stage_probe(cfg, out, strategies=strategies, costs=costs)
         elif args.command == "oracle":
             budgets = [float(b) for b in args.budget_grid.split(",")] if args.budget_grid else None
             stage_oracle(cfg, out, budgets=budgets)

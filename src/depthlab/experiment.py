@@ -38,7 +38,7 @@ from .oracle import (
     sweep_to_csv,
     assignment_to_csv,
 )
-from .probe import compare_strategies, parallel_map, probe, ranking_to_csv, similarity_to_csv
+from .probe import compare_strategies, probe, ranking_to_csv, similarity_to_csv
 from .routing import RoutePlan
 from .training import TrainConfig, finetune, train_controllers, write_log_csv
 
@@ -86,8 +86,8 @@ DEFAULTS: dict[str, dict[str, str]] = {
         "eval_sequences": "24",
     },
     "routing": {"strategies": "ee,uls,rls,rls_no1", "cost_grid": "2,3,4,6,8"},
-    "generate": {"cost_fractions": "0.1667,0.3333,0.5,1.0", "max_new": "40", "workers": "1"},
-    "probe": {"max_new": "24", "max_sequences": "32", "workers": "1", "stop_at_eos": "true"},
+    "generate": {"cost_fractions": "0.1667,0.3333,0.5,1.0", "max_new": "40"},
+    "probe": {"max_new": "24", "max_sequences": "32", "stop_at_eos": "true"},
     "oracle": {
         "budget_grid": "1,1.5,2,2.5,3,3.5,4,4.5,5,6,7,8",
         "bin_width": "5",
@@ -106,6 +106,30 @@ def _ints(text: str) -> list[int]:
 
 def _floats(text: str) -> list[float]:
     return [float(v) for v in text.split(",") if v.strip()]
+
+
+def parse_strategies(text: str, num_layers: int) -> list[RoutePlan]:
+    """Strategy templates at full cost from a comma-separated list of ee,
+    uls, rls, rls_no1 and full; empty names are skipped."""
+    L = num_layers
+    plans = []
+    for name in text.split(","):
+        name = name.strip()
+        if not name:
+            continue
+        if name == "ee":
+            plans.append(RoutePlan.early_exit(L, L))
+        elif name == "uls":
+            plans.append(RoutePlan.uniform_skip(L, L))
+        elif name == "rls":
+            plans.append(RoutePlan.random_skip(L, L, enforce_first=True))
+        elif name == "rls_no1":
+            plans.append(RoutePlan.random_skip(L, L, enforce_first=False))
+        elif name == "full":
+            plans.append(RoutePlan.full(L))
+        else:
+            raise ValueError(f"unknown strategy {name!r}")
+    return plans
 
 
 @dataclass
@@ -204,27 +228,6 @@ class ExperimentConfig:
 
     def input_modes(self) -> list[InputMode]:
         return [InputMode(m.strip()) for m in self.get("controllers", "input_modes").split(",") if m.strip()]
-
-    def strategy_templates(self) -> list[RoutePlan]:
-        L = self.model_config().num_layers
-        plans = []
-        for name in self.get("routing", "strategies").split(","):
-            name = name.strip()
-            if not name:
-                continue
-            if name == "ee":
-                plans.append(RoutePlan.early_exit(L, L))
-            elif name == "uls":
-                plans.append(RoutePlan.uniform_skip(L, L))
-            elif name == "rls":
-                plans.append(RoutePlan.random_skip(L, L, enforce_first=True))
-            elif name == "rls_no1":
-                plans.append(RoutePlan.random_skip(L, L, enforce_first=False))
-            elif name == "full":
-                plans.append(RoutePlan.full(L))
-            else:
-                raise ValueError(f"unknown strategy {name!r}")
-        return plans
 
     def cost_grid(self) -> list[int]:
         return _ints(self.get("routing", "cost_grid"))
@@ -481,32 +484,26 @@ def stage_generate(cfg: ExperimentConfig, out: Path, costs: Sequence[int] | None
     test_examples = _load_split(out, "test")
     costs = sorted(set(costs)) if costs is not None else cfg.generate_costs()
     max_new = cfg.getint("generate", "max_new")
-    workers = cfg.getint("generate", "workers")
     L = model.cfg.num_layers
 
     for cost in costs:
         if not 1 <= cost <= L:
             raise ValueError(f"generation cost {cost} outside [1, {L}]")
         plan = RoutePlan.uniform_skip(L, cost)
-
-        def run(i: int, plan=plan) -> dict:
-            ex = test_examples[i]
-            prompt = tokenizer.encode(ex.prompt, add_bos=True)
-            res = model.generate(prompt, plan=plan, max_new=max_new, rng_seed=0)
-            text = tokenizer.decode(res.generated_ids)
-            return {
-                "id": ex.id,
-                "cost": cost,
-                "text": text,
-                "label": ex.label,
-                "label_len": len(tokenizer.encode(ex.label)),
-                "rouge_l": round(rouge_l_text(text, ex.label).f, 6),
-            }
-
-        records = parallel_map(run, len(test_examples), workers=workers)
         with open(stage / f"uls_c{cost}.jsonl", "w") as fh:
-            for rec in records:
-                fh.write(json.dumps(rec, sort_keys=True))
+            for ex in test_examples:
+                prompt = tokenizer.encode(ex.prompt, add_bos=True)
+                res = model.generate(prompt, plan=plan, max_new=max_new, rng_seed=0)
+                text = tokenizer.decode(res.generated_ids)
+                record = {
+                    "id": ex.id,
+                    "cost": cost,
+                    "text": text,
+                    "label": ex.label,
+                    "label_len": len(tokenizer.encode(ex.label)),
+                    "rouge_l": round(rouge_l_text(text, ex.label).f, 6),
+                }
+                fh.write(json.dumps(record, sort_keys=True))
                 fh.write("\n")
 
     inputs = [out / "corpus" / "test.jsonl"] + _backbone_input_files(out)
@@ -527,14 +524,15 @@ def stage_probe(
     prompts = [
         tokenizer.encode(ex.prompt, add_bos=True) for ex in test_examples[:max_sequences]
     ]
+    if strategies is None:
+        strategies = parse_strategies(cfg.get("routing", "strategies"), model.cfg.num_layers)
     report = probe(
         model,
         prompts,
-        strategies if strategies is not None else cfg.strategy_templates(),
+        strategies,
         costs if costs is not None else cfg.cost_grid(),
         seed=cfg.seed,
         max_new=cfg.getint("probe", "max_new"),
-        workers=cfg.getint("probe", "workers"),
         stop_at_eos=cfg.getbool("probe", "stop_at_eos"),
     )
     similarity_to_csv(report, stage / "similarity.csv")
@@ -611,12 +609,17 @@ def _check_model_hashes(out: Path, stages: Sequence[str]) -> str:
     return next(iter(hashes.values()))
 
 
+def _read_csv(path: Path) -> list[dict[str, str]]:
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
 def stage_report(cfg: ExperimentConfig, out: Path) -> Path:
     stage = _start_stage(out, "report", cfg)
     _check_model_hashes(out, ["probe", "controllers", "predictions", "oracle"])
 
     # Fig 1a layout: similarity vs cost per strategy, long format.
-    sim_rows = list(csv.DictReader(open(out / "probe" / "similarity.csv")))
+    sim_rows = _read_csv(out / "probe" / "similarity.csv")
     with open(stage / "fig1a_similarity.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["strategy", "cost", "metric", "mean", "ci_low", "ci_high", "n"])
@@ -626,7 +629,7 @@ def stage_report(cfg: ExperimentConfig, out: Path) -> Path:
             )
 
     # Fig 1b layout: cost vs quality operating curve per controller input mode.
-    sweep_rows = list(csv.DictReader(open(out / "controllers" / "sweep_summary.csv")))
+    sweep_rows = _read_csv(out / "controllers" / "sweep_summary.csv")
     with open(stage / "fig1b_controller_curves.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["input_mode", "alpha", "mean_cost", "rouge_l", "rouge_ci_low", "rouge_ci_high"])
@@ -636,7 +639,7 @@ def stage_report(cfg: ExperimentConfig, out: Path) -> Path:
             )
 
     # Fig 2 layout: oracle score + stacked selection percentages per budget.
-    oracle_rows = list(csv.DictReader(open(out / "oracle" / "sweep.csv")))
+    oracle_rows = _read_csv(out / "oracle" / "sweep.csv")
     summary = json.loads((out / "oracle" / "summary.json").read_text())
     pct_cols = [c for c in oracle_rows[0] if c.startswith("pct_")]
     with open(stage / "fig2_oracle.csv", "w", newline="") as fh:
@@ -663,7 +666,7 @@ def stage_report(cfg: ExperimentConfig, out: Path) -> Path:
             )
 
     # Per-layer skip ratios per alpha and input mode.
-    ratio_rows = list(csv.DictReader(open(out / "controllers" / "skip_ratios.csv")))
+    ratio_rows = _read_csv(out / "controllers" / "skip_ratios.csv")
     with open(stage / "skip_ratios.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["input_mode", "alpha", "layer", "skip_fraction"])

@@ -6,12 +6,22 @@ residual connections. Layer l is gated by a bit G^l: when 0 the hidden state
 passes through unchanged and the layer's KV entry for that position is
 deferred, to be filled later by projecting the position's incoming hidden
 state through this layer's own attention input path.
+
+Where things live:
+- the block is `DecoderModel._block`, run on the last rows of the attended
+  positions; the incremental `step` (one row, K/V from the cache) and the
+  whole-sequence `forward_hidden` (all rows) both call it;
+- the attention arithmetic is `autodiff._attention_weights` and
+  `autodiff._attention_apply`, shared with the tape's `causal_attention` op
+  that `build_graph_forward` records for training;
+- the fill rule is `DecoderModel._kv_for_state`: K/V of a layer always derive
+  from the position's incoming hidden state, so `forward_hidden` under gate
+  bits reproduces what `step` writes and later fills.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -19,6 +29,8 @@ import numpy as np
 from .autodiff import (
     Graph,
     Tensor,
+    _attention_apply,
+    _attention_weights,
     _gelu_forward,
     _layer_norm_forward,
     _softmax_forward,
@@ -53,10 +65,6 @@ class ModelConfig:
             )
         if self.max_context < 2:
             raise ValueError("max_context must be >= 2")
-
-    @property
-    def head_dim(self) -> int:
-        return self.hidden_dim // self.num_heads
 
 
 def param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
@@ -236,17 +244,17 @@ class DecoderModel:
                 k, v = self._kv_for_state(layer, trace.h(j, layer - 1))
                 cache.fill(layer, j, k, v)
 
-    def _attend(self, layer: int, q: np.ndarray, keys: np.ndarray, values: np.ndarray) -> np.ndarray:
-        cfg = self.cfg
-        hd = cfg.head_dim
-        out = np.empty(cfg.hidden_dim)
-        scale = 1.0 / math.sqrt(hd)
-        for h in range(cfg.num_heads):
-            s = slice(h * hd, (h + 1) * hd)
-            scores = keys[:, s] @ q[s] * scale
-            weights = _softmax_forward(scores)
-            out[s] = weights @ values[:, s]
-        return out
+    def _block(self, layer: int, h: np.ndarray, keys: np.ndarray, values: np.ndarray) -> np.ndarray:
+        """One transformer block on the rows `h` (t, d), which are the last t
+        of the positions whose keys/values (T, d) are given."""
+        p = f"layer{layer}."
+        prm = self.params
+        x = self._ln(h, p + "ln1")
+        q = x @ prm[p + "wq"] + prm[p + "bq"]
+        attn = _attention_apply(_attention_weights(q, keys, self.cfg.num_heads), values)
+        h = h + attn @ prm[p + "wo"] + prm[p + "bo"]
+        x2 = self._ln(h, p + "ln2")
+        return h + _gelu_forward(x2 @ prm[p + "w1"] + prm[p + "b1"]) @ prm[p + "w2"] + prm[p + "b2"]
 
     # -- incremental routed forward ------------------------------------------
 
@@ -257,31 +265,23 @@ class DecoderModel:
             raise ValueError(
                 f"cache/position inconsistency: cache holds {cache.num_positions} positions, stepping {pos}"
             )
-        h = self.embed([token_id], start_pos=pos)[0]
+        h = self.embed([token_id], start_pos=pos)
         states = np.empty((cfg.num_layers + 1, cfg.hidden_dim))
-        states[0] = h
+        states[0] = h[0]
         bits = []
         for l in range(1, cfg.num_layers + 1):
-            bit = int(gate_fn(l, h))
+            bit = int(gate_fn(l, h[0]))
             bits.append(bit)
             if bit:
-                p = f"layer{l}."
-                x = self._ln(h, p + "ln1")
-                q = x @ self.params[p + "wq"] + self.params[p + "bq"]
-                k = x @ self.params[p + "wk"] + self.params[p + "bk"]
-                v = x @ self.params[p + "wv"] + self.params[p + "bv"]
                 self._fill_absent(l, cache, trace, pos - 1)
-                cache.append_computed(l, k, v)
-                keys, values = cache.kv_matrices(l, pos)
-                attn = self._attend(l, q, keys, values)
-                h = h + attn @ self.params[p + "wo"] + self.params[p + "bo"]
-                x2 = self._ln(h, p + "ln2")
-                h = h + _gelu_forward(x2 @ self.params[p + "w1"] + self.params[p + "b1"]) @ self.params[p + "w2"] + self.params[p + "b2"]
+                k, v = self._kv_for_state(l, h)
+                cache.append_computed(l, k[0], v[0])
+                h = self._block(l, h, *cache.kv_matrices(l, pos))
             else:
                 cache.append_absent(l)
-            states[l] = h
+            states[l] = h[0]
         trace.append(states)
-        logits = self._ln(h, "final_ln") @ self.params["head.w"] + self.params["head.b"]
+        logits = self._ln(h[0], "final_ln") @ self.params["head.w"] + self.params["head.b"]
         probs = _softmax_forward(logits)
         return StepResult(probs=probs, logits=logits, bits=tuple(bits))
 
@@ -303,19 +303,6 @@ class DecoderModel:
         result = None
         for pos in range(start, len(token_ids)):
             result = self.step(token_ids[pos], pos, gate, cache, trace)
-        assert result is not None
-        return result
-
-    def full_forward(
-        self, token_ids: Sequence[int], cache: KVCache, trace: HiddenTrace
-    ) -> StepResult:
-        """Unrouted forward: every layer executes, no gating machinery."""
-        start = cache.num_positions
-        if start >= len(token_ids):
-            raise ValueError("no new positions to process")
-        result = None
-        for pos in range(start, len(token_ids)):
-            result = self.step(token_ids[pos], pos, lambda _l, _h: 1, cache, trace)
         assert result is not None
         return result
 
@@ -393,20 +380,21 @@ class DecoderModel:
         prompt_len: int,
         plan: RoutePlan,
         rng: np.random.Generator | None = None,
-    ) -> tuple[HiddenTrace, KVCache, list[tuple[int, ...]]]:
+    ) -> tuple[np.ndarray, list[tuple[int, ...]]]:
         """Teacher-forced pass over a fixed token sequence: prompt under the
-        full mask, each later position under the plan's per-step mask."""
+        full mask, each later position under the plan's per-step mask.
+        Returns (hidden states (T, L+1, d), the realized per-step masks)."""
         if not 1 <= prompt_len <= len(token_ids):
             raise ValueError("prompt_len out of range")
-        cache, trace = self.new_state()
-        self.routed_forward(token_ids[:prompt_len], full_mask(self.cfg.num_layers), cache, trace)
         masks: list[tuple[int, ...]] = []
         previous: RouteMask | None = None
-        for pos in range(prompt_len, len(token_ids)):
+        for _ in range(prompt_len, len(token_ids)):
             previous = plan.realize(rng, previous=previous)
-            res = self.step(token_ids[pos], pos, _mask_gate(previous.bits), cache, trace)
-            masks.append(res.bits)
-        return trace, cache, masks
+            masks.append(previous.bits)
+        gate_bits = np.ones((len(token_ids), self.cfg.num_layers))
+        gate_bits[prompt_len:] = np.asarray(masks).reshape(-1, self.cfg.num_layers)
+        states, _ = self.forward_hidden(token_ids, gate_bits=gate_bits)
+        return states, masks
 
     # -- parallel (whole-sequence) forward ------------------------------------
 
@@ -420,30 +408,12 @@ class DecoderModel:
         reproduces the cache-fill approximation for skipped tokens. Returns
         (hidden states (T, L+1, d), logits (T, V)).
         """
-        cfg = self.cfg
         ids = list(token_ids)
-        T = len(ids)
         h = self.embed(ids)
-        states = np.empty((T, cfg.num_layers + 1, cfg.hidden_dim))
+        states = np.empty((len(ids), self.cfg.num_layers + 1, self.cfg.hidden_dim))
         states[:, 0] = h
-        causal = np.tril(np.ones((T, T), dtype=bool))
-        for l in range(1, cfg.num_layers + 1):
-            p = f"layer{l}."
-            x = self._ln(h, p + "ln1")
-            q = x @ self.params[p + "wq"] + self.params[p + "bq"]
-            k = x @ self.params[p + "wk"] + self.params[p + "bk"]
-            v = x @ self.params[p + "wv"] + self.params[p + "bv"]
-            hd = cfg.head_dim
-            attn = np.empty_like(h)
-            for head in range(cfg.num_heads):
-                s = slice(head * hd, (head + 1) * hd)
-                scores = q[:, s] @ k[:, s].T / math.sqrt(hd)
-                scores = np.where(causal, scores, -1e9)
-                weights = _softmax_forward(scores)
-                attn[:, s] = weights @ v[:, s]
-            out = h + attn @ self.params[p + "wo"] + self.params[p + "bo"]
-            x2 = self._ln(out, p + "ln2")
-            out = out + _gelu_forward(x2 @ self.params[p + "w1"] + self.params[p + "b1"]) @ self.params[p + "w2"] + self.params[p + "b2"]
+        for l in range(1, self.cfg.num_layers + 1):
+            out = self._block(l, h, *self._kv_for_state(l, h))
             if gate_bits is not None:
                 gates = gate_bits[:, l - 1 : l]
                 h = gates * out + (1.0 - gates) * h
@@ -452,11 +422,6 @@ class DecoderModel:
             states[:, l] = h
         logits = self._ln(h, "final_ln") @ self.params["head.w"] + self.params["head.b"]
         return states, logits
-
-    def predict_distributions(self, token_ids: Sequence[int]) -> np.ndarray:
-        """Next-token distributions for every position of a full forward."""
-        _, logits = self.forward_hidden(token_ids)
-        return _softmax_forward(logits)
 
 
 def fill_missing_kv(model: DecoderModel, cache: KVCache, trace: HiddenTrace) -> KVCache:

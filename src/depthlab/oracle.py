@@ -46,6 +46,8 @@ class ScoreMatrix:
             raise ValueError("ids/label_lengths must match score rows")
         if any(c <= 0 for c in self.costs):
             raise ValueError(f"model costs must be positive, got {self.costs}")
+        if len(set(self.costs)) != k:
+            raise ValueError(f"model costs must be distinct, got {self.costs}")
 
     @property
     def n(self) -> int:
@@ -75,8 +77,8 @@ class BudgetAssignment:
 
 
 def _column_order(costs: Sequence[int]) -> list[int]:
-    # Tie preference: lower cost first, stable on duplicates.
-    return sorted(range(len(costs)), key=lambda j: (costs[j], j))
+    # Tie preference: lower cost first.
+    return sorted(range(len(costs)), key=lambda j: costs[j])
 
 
 def _suffix_score(scores: np.ndarray, columns: Sequence[int]) -> float:
@@ -110,9 +112,10 @@ def solve_exact(matrix: ScoreMatrix, beta: float) -> BudgetAssignment:
     floor(beta * n) layers.
 
     Dynamic program over exact total cost (divided by the gcd of the model
-    costs), one rolling value row plus a per-row uint8 choice table for
-    backtracking. Ties break toward higher score, then lower total cost, then
-    the lexicographically smallest per-row cost vector.
+    costs), one rolling value row plus a per-row choice table for
+    backtracking, in the smallest unsigned type that holds a column index.
+    Ties break toward higher score, then lower total cost, then the
+    lexicographically smallest per-row cost vector.
     """
     n, k = matrix.n, matrix.k
     min_cost = min(matrix.costs)
@@ -130,7 +133,7 @@ def solve_exact(matrix: ScoreMatrix, beta: float) -> BudgetAssignment:
     # best[c]: max suffix score of rows i..n-1 using exactly c scaled cost.
     best = np.full(cap + 1, -np.inf)
     best[0] = 0.0
-    choice = np.zeros((n, cap + 1), dtype=np.uint8)
+    choice = np.zeros((n, cap + 1), dtype=np.min_scalar_type(k - 1))
     for i in range(n - 1, -1, -1):
         new_best = np.full(cap + 1, -np.inf)
         choice_row = choice[i]

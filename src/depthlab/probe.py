@@ -5,26 +5,16 @@ the mean over intermediate layers, with confidence intervals."""
 from __future__ import annotations
 
 import csv
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence, TypeVar
+from typing import Sequence
 
 import numpy as np
 
+from . import tokenizer
 from .metrics import cosine, mean_ci
 from .model import DecoderModel
-from .routing import PlanKind, RoutePlan
-
-T = TypeVar("T")
-
-
-def parallel_map(fn: Callable[[int], T], count: int, workers: int = 1) -> list[T]:
-    """Apply fn to 0..count-1, preserving index order in the result."""
-    if workers <= 1 or count <= 1:
-        return [fn(i) for i in range(count)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, range(count)))
+from .routing import RoutePlan
 
 
 @dataclass
@@ -49,12 +39,6 @@ class SimilarityReport:
         raise KeyError((strategy, cost))
 
 
-def _plan_for(template: RoutePlan, cost: int) -> RoutePlan:
-    if template.kind is PlanKind.EARLY_EXIT:
-        return RoutePlan.early_exit(template.num_layers, cost)
-    return template.with_cost(cost)
-
-
 def probe(
     model: DecoderModel,
     prompts: Sequence[Sequence[int]],
@@ -62,67 +46,41 @@ def probe(
     cost_grid: Sequence[int],
     seed: int = 0,
     max_new: int = 32,
-    teacher_forcing: bool = True,
-    workers: int = 1,
     stop_at_eos: bool = True,
 ) -> SimilarityReport:
     """For every generated token step of the full model's greedy trajectory,
     re-run each routed variant on the same forced tokens (KV fill active) and
     record cosine similarity of the final hidden state plus the mean over
     layers 1..L-1. Aggregates mean and 95% CI over all steps in the corpus.
-
-    With teacher_forcing off, each variant instead consumes its own greedy
-    generations and steps are compared up to the shorter trajectory.
     """
     L = model.cfg.num_layers
     for cost in cost_grid:
         if not 1 <= cost <= L:
             raise ValueError(f"cost {cost} outside [1, {L}]")
-    from . import tokenizer
-
     eos = tokenizer.EOS if stop_at_eos else None
-
-    def run_sequence(i: int) -> dict[tuple[int, str, int], tuple[list[float], list[float]]]:
-        prompt = list(prompts[i])
-        ref = model.generate(prompt, plan=RoutePlan.full(L), max_new=max_new, eos_id=eos)
-        p = len(prompt)
-        n_steps = ref.trace.num_positions - p
-        out: dict[tuple[int, str, int], tuple[list[float], list[float]]] = {}
-        if n_steps <= 0:
-            return out
-        forced = prompt + ref.generated_ids[:n_steps]
-        for s_idx, template in enumerate(strategies):
-            for cost in cost_grid:
-                plan = _plan_for(template, cost)
-                rng = np.random.default_rng((seed, s_idx, cost, i))
-                if teacher_forcing:
-                    var_trace, _, _ = model.replay_tokens(forced, p, plan, rng)
-                    compare_upto = var_trace.num_positions
-                else:
-                    var = model.generate(
-                        prompt, plan=plan, max_new=max_new, rng_seed=int(rng.integers(2**31)), eos_id=eos
-                    )
-                    var_trace = var.trace
-                    compare_upto = min(var_trace.num_positions, ref.trace.num_positions)
-                finals, layerwise = [], []
-                for t in range(p, compare_upto):
-                    finals.append(cosine(ref.trace.h(t, L), var_trace.h(t, L)))
-                    sims = [cosine(ref.trace.h(t, l), var_trace.h(t, l)) for l in range(1, L)]
-                    layerwise.append(float(np.mean(sims)))
-                out[(s_idx, plan.label(), cost)] = (finals, layerwise)
-        return out
-
-    per_seq = parallel_map(run_sequence, len(prompts), workers=workers)
 
     # Duplicate strategy entries stay distinct (they simply score identically).
     pooled: dict[tuple[int, str, int], tuple[list[float], list[float]]] = {}
-    for res in per_seq:
-        for key, (finals, layerwise) in res.items():
-            agg = pooled.setdefault(key, ([], []))
-            agg[0].extend(finals)
-            agg[1].extend(layerwise)
+    for i, prompt in enumerate(prompts):
+        prompt = list(prompt)
+        ref = model.generate(prompt, plan=RoutePlan.full(L), max_new=max_new, eos_id=eos)
+        p = len(prompt)
+        n_steps = ref.trace.num_positions - p
+        if n_steps <= 0:
+            continue
+        forced = prompt + ref.generated_ids[:n_steps]
+        for s_idx, template in enumerate(strategies):
+            for cost in cost_grid:
+                plan = template.with_cost(cost)
+                rng = np.random.default_rng((seed, s_idx, cost, i))
+                var_states, _ = model.replay_tokens(forced, p, plan, rng)
+                finals, layerwise = pooled.setdefault((s_idx, plan.label(), cost), ([], []))
+                for t in range(p, len(forced)):
+                    finals.append(cosine(ref.trace.h(t, L), var_states[t, L]))
+                    sims = [cosine(ref.trace.h(t, l), var_states[t, l]) for l in range(1, L)]
+                    layerwise.append(float(np.mean(sims)))
 
-    if not pooled or all(len(v[0]) == 0 for v in pooled.values()):
+    if not pooled:
         raise ValueError("no generated steps to probe (every reference generation was empty)")
 
     entries = []

@@ -236,7 +236,7 @@ def finetune(
             batch = [train_examples[i] for i in order[start : start + cfg.batch_size]]
             skip: set[int] | None = None
             if cfg.layerdrop_prob > 0:
-                skip = {l for l in droppable if drop_rng.random() < cfg.layerdrop_prob}
+                skip = draw_layerdrop(drop_rng, droppable, cfg.layerdrop_prob)
             acc: dict[str, np.ndarray] = {k: np.zeros_like(v) for k, v in model.params.items()}
             batch_loss = 0.0
             for ex in batch:
@@ -274,18 +274,9 @@ def finetune(
     return TrainResult(best_params=best_params, best_metric=best_metric, log=log, steps_run=step)
 
 
-def finetune_layerdrop(
-    model: DecoderModel,
-    train_examples: Sequence[Example],
-    val_examples: Sequence[Example],
-    cfg: TrainConfig,
-) -> TrainResult:
-    """Fine-tuning with per-batch random layer dropout (cfg.layerdrop_prob)."""
-    return finetune(model, train_examples, val_examples, cfg)
-
-
 def draw_layerdrop(rng: np.random.Generator, droppable: Sequence[int], prob: float) -> set[int]:
-    """One batch's dropped-layer draw (exposed for frequency tests)."""
+    """One batch's dropped-layer draw: each droppable layer independently
+    with probability `prob`."""
     return {l for l in droppable if rng.random() < prob}
 
 

@@ -119,9 +119,10 @@ def test_every_stage_writes_manifest_with_hashes(run_dir):
 
 def test_prediction_sets_cover_test_split(run_dir):
     out = run_dir / "out"
-    test_ids = {json.loads(line)["id"] for line in (out / "corpus" / "test.jsonl").open()}
+    test_ids = {json.loads(line)["id"] for line in (out / "corpus" / "test.jsonl").read_text().splitlines()}
     for cost in (2, 4):
-        records = [json.loads(line) for line in (out / "predictions" / f"uls_c{cost}.jsonl").open()]
+        lines = (out / "predictions" / f"uls_c{cost}.jsonl").read_text().splitlines()
+        records = [json.loads(line) for line in lines]
         assert {r["id"] for r in records} == test_ids
         assert all(r["cost"] == cost for r in records)
         assert all(0.0 <= r["rouge_l"] <= 1.0 for r in records)
@@ -186,10 +187,12 @@ def test_unknown_subcommand_exits_with_usage():
     assert err.value.code == 2
 
 
-def test_unknown_config_key_rejected(tmp_path):
+def test_unknown_config_key_rejected(tmp_path, capsys):
     bad = tmp_path / "bad.ini"
-    bad.write_text("[model]\nnum_layers = 4\nwings = 2\n")
-    assert main(["gen-corpus", "--config", str(bad), "--out", str(tmp_path / "o")]) == 1
+    for text in ("[model]\nnum_layers = 4\nwings = 2\n", "[generate]\nworkers = 2\n", "[probe]\nworkers = 2\n"):
+        bad.write_text(text)
+        assert main(["gen-corpus", "--config", str(bad), "--out", str(tmp_path / "o")]) == 1
+        assert "unknown config key" in capsys.readouterr().err
 
 
 def test_config_defaults_and_cost_fractions():

@@ -59,19 +59,6 @@ def test_embed_context_overflow(model):
         model.embed(list(range(8)), start_pos=CFG.max_context - 4)
 
 
-def test_routed_forward_all_ones_bit_identical_to_full(model):
-    rng = np.random.default_rng(0)
-    for _ in range(50):
-        tokens = rand_tokens(rng, int(rng.integers(2, 12)))
-        cache_a, trace_a = model.new_state()
-        res_a = model.routed_forward(tokens, full_mask(CFG.num_layers), cache_a, trace_a)
-        cache_b, trace_b = model.new_state()
-        res_b = model.full_forward(tokens, cache_b, trace_b)
-        assert np.array_equal(res_a.probs, res_b.probs)
-        for t in range(len(tokens)):
-            assert np.array_equal(trace_a.rows[t], trace_b.rows[t])
-
-
 def test_early_exit_at_last_layer_equals_full(model):
     rng = np.random.default_rng(1)
     for _ in range(10):
@@ -80,7 +67,7 @@ def test_early_exit_at_last_layer_equals_full(model):
         plan_mask = RoutePlan.early_exit(CFG.num_layers, CFG.num_layers).realize()
         res_a = model.routed_forward(tokens, plan_mask, cache_a, trace_a)
         cache_b, trace_b = model.new_state()
-        res_b = model.full_forward(tokens, cache_b, trace_b)
+        res_b = model.routed_forward(tokens, full_mask(CFG.num_layers), cache_b, trace_b)
         assert np.array_equal(res_a.probs, res_b.probs)
 
 
@@ -243,7 +230,7 @@ def test_incremental_matches_parallel_forward(model):
     rng = np.random.default_rng(10)
     tokens = rand_tokens(rng, 9)
     cache, trace = model.new_state()
-    model.full_forward(tokens, cache, trace)
+    model.routed_forward(tokens, full_mask(CFG.num_layers), cache, trace)
     states, logits = model.forward_hidden(tokens)
     for t in range(len(tokens)):
         np.testing.assert_allclose(trace.rows[t], states[t], atol=1e-9)
@@ -254,18 +241,17 @@ def test_incremental_routed_matches_parallel_gated_forward(model):
     # whole-sequence gated forward (whose K/V-from-incoming-state convention
     # implements the fill rule).
     rng = np.random.default_rng(11)
-    tokens = rand_tokens(rng, 10)
-    prompt_len = 4
+    prompt = rand_tokens(rng, 4)
     plan = RoutePlan.random_skip(CFG.num_layers, 2, enforce_first=True)
-    mask_rng = np.random.default_rng(12)
-    trace, cache, masks = model.replay_tokens(tokens, prompt_len, plan, mask_rng)
+    res = model.generate(prompt, plan=plan, max_new=6, rng_seed=12, eos_id=None)
+    tokens = (prompt + res.generated_ids)[: res.trace.num_positions]
+    assert len(res.step_masks) == len(tokens) - len(prompt) > 0
 
     gate_bits = np.ones((len(tokens), CFG.num_layers))
-    for i, bits in enumerate(masks):
-        gate_bits[prompt_len + i] = bits
+    gate_bits[len(prompt) :] = res.step_masks
     states, _ = model.forward_hidden(tokens, gate_bits=gate_bits)
     for t in range(len(tokens)):
-        np.testing.assert_allclose(trace.rows[t], states[t], atol=1e-9)
+        np.testing.assert_allclose(res.trace.rows[t], states[t], atol=1e-9)
 
 
 def test_tape_forward_matches_plain_forward(model):

@@ -138,6 +138,19 @@ def test_exact_row_order_independence():
     assert a.mean_score == pytest.approx(b.mean_score, abs=1e-12)
 
 
+def test_exact_with_more_than_256_columns():
+    scores = np.zeros((2, 300))
+    scores[:, 299] = 1.0
+    matrix = make_matrix(scores, costs=range(1, 301))
+    result = solve_exact(matrix, beta=300)
+    assert result.chosen_columns == [299, 299]
+
+
+def test_duplicate_costs_rejected():
+    with pytest.raises(ValueError, match="distinct"):
+        make_matrix([[0.15, 0.6, 0.75], [0.15, 0.6, 0.75]], costs=[2, 2, 4])
+
+
 def test_greedy_per_row_constraint():
     matrix = make_matrix([[0.2, 0.9, 0.5], [0.8, 0.1, 0.9]], costs=[4, 8, 12])
     result = solve_greedy(matrix, beta=8)

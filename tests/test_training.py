@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from depthlab import training
 from depthlab.autodiff import Graph, gradient_check
 from depthlab.controller import ControllerBank, GumbelConfig, InputMode, init_controller_params
 from depthlab.corpus import Example, tokenize_example
@@ -12,7 +13,6 @@ from depthlab.training import (
     controller_sequence_loss,
     draw_layerdrop,
     finetune,
-    finetune_layerdrop,
     sequence_loss_and_grads,
     train_controllers,
     _target_weights,
@@ -101,14 +101,20 @@ def test_single_sequence_overfit_smoke():
     assert loss < 0.1, f"loss {loss} after {step} steps"
 
 
-def test_layerdrop_zero_prob_identical_to_finetune():
-    model_a = DecoderModel(CFG, init_params(CFG, seed=4))
-    model_b = DecoderModel(CFG, init_params(CFG, seed=4))
-    cfg = quick_cfg(max_epochs=1)
-    finetune(model_a, TRAIN, VAL, cfg)
-    finetune_layerdrop(model_b, TRAIN, VAL, quick_cfg(max_epochs=1, layerdrop_prob=0.0))
-    for name in model_a.params:
-        assert np.array_equal(model_a.params[name], model_b.params[name]), name
+def test_finetune_drops_the_layers_draw_layerdrop_draws(monkeypatch):
+    seen = []
+    real = training.sequence_loss_and_grads
+
+    def recording(model, example, trainable=True, skip_layers=None):
+        seen.append(skip_layers)
+        return real(model, example, trainable, skip_layers)
+
+    monkeypatch.setattr(training, "sequence_loss_and_grads", recording)
+    cfg = quick_cfg(max_epochs=1, layerdrop_prob=0.5)
+    finetune(DecoderModel(CFG, init_params(CFG, seed=4)), TRAIN, VAL, cfg)
+    rng = np.random.default_rng((cfg.seed, 1))
+    batches = [draw_layerdrop(rng, [2, 3], 0.5) for _ in range(len(TRAIN) // cfg.batch_size)]
+    assert seen == [skip for skip in batches for _ in range(cfg.batch_size)]
 
 
 def test_layerdrop_draw_frequency():
