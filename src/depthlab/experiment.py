@@ -153,6 +153,9 @@ class ExperimentConfig:
                         raise ValueError(f"unknown config key {key!r} in [{section}]")
                     sections[section][key] = value
         cfg = ExperimentConfig(sections)
+        if cfg.getint("controllers", "eval_sequences") < 2:
+            # the controller sweep reports a confidence interval over them
+            raise ValueError("[controllers] eval_sequences must be >= 2")
         if seed is not None:
             cfg.sections["run"]["seed"] = str(seed)
         return cfg

@@ -8,19 +8,31 @@ deferred, to be filled later by projecting the position's incoming hidden
 state through this layer's own attention input path.
 
 Where things live:
-- the block is `DecoderModel._block`, run on the last rows of the attended
-  positions; the incremental `step` (one row, K/V from the cache) and the
-  whole-sequence `forward_hidden` (all rows) both call it;
+- the block is `DecoderModel._block`: LN1 once, then q, k and v from it. It
+  runs on the last rows of the attended positions; the whole-sequence
+  `forward_hidden` attends over its own k/v, while the cached `step` (one row)
+  and `routed_forward` (the uncached suffix, T rows in one pass) append their
+  k/v to the cache first and attend over the cache's rows;
 - the attention arithmetic is `autodiff._attention_weights` and
   `autodiff._attention_apply`, shared with the tape's `causal_attention` op
   that `build_graph_forward` records for training;
 - the fill rule is `DecoderModel._kv_for_state`: K/V of a layer always derive
   from the position's incoming hidden state, so `forward_hidden` under gate
   bits reproduces what `step` writes and later fills.
+
+The cache (`KVCache`) holds keys and values in preallocated
+(L, max_context, d) arrays, each on its own memory mapping so that only the
+pages of cached positions become resident, and a provenance code per slot in
+an int8 (L, max_context) array. Each layer keeps an ordered list of its pending
+(absent) positions: an executed layer fills that list from its head before it
+attends, so a read checks only the head, returns views and never restacks the
+history. A skipped layer appends absent slots to the list.
 """
 
 from __future__ import annotations
 
+import math
+import mmap
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -106,54 +118,79 @@ def init_params(cfg: ModelConfig, seed: int = 0) -> dict[str, np.ndarray]:
     return params
 
 
+def _mapped_array(shape: tuple[int, ...]) -> np.ndarray:
+    """A float64 array on its own anonymous memory mapping: a page becomes
+    resident when first written and goes back to the system when the array is
+    freed. A cache is sized for max_context but usually holds fewer
+    positions; allocated from the heap, its unwritten pages may be ones that
+    are already resident, and they stay pinned while the cache lives."""
+    return np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape))).reshape(shape)
+
+
 class KVCache:
     """Per-layer, per-position key/value rows with provenance tracking.
 
     Every processed position occupies one slot at every layer: `computed`
     when the layer executed, `absent` (a deferred fill) when it was skipped.
-    Slots are immutable once written with a non-absent value.
+    Slots are immutable once written with a non-absent value. `keys` and
+    `values` are (num_layers, max_context, d) arrays; `pending[l - 1]` lists
+    layer l's absent positions in increasing order.
     """
 
-    def __init__(self, num_layers: int):
+    def __init__(self, num_layers: int, max_context: int, hidden_dim: int):
         self.num_layers = num_layers
-        self.keys: list[list[np.ndarray | None]] = [[] for _ in range(num_layers)]
-        self.values: list[list[np.ndarray | None]] = [[] for _ in range(num_layers)]
-        self.prov: list[list[int]] = [[] for _ in range(num_layers)]
+        self.max_context = max_context
+        self.keys = _mapped_array((num_layers, max_context, hidden_dim))
+        self.values = _mapped_array((num_layers, max_context, hidden_dim))
+        self.prov = np.zeros((num_layers, max_context), dtype=np.int8)
+        self.lengths = [0] * num_layers
+        self.pending: list[list[int]] = [[] for _ in range(num_layers)]
 
     @property
     def num_positions(self) -> int:
-        return len(self.prov[0])
+        return self.lengths[0]
 
-    def append_computed(self, layer: int, k: np.ndarray, v: np.ndarray) -> None:
-        self.keys[layer - 1].append(k)
-        self.values[layer - 1].append(v)
-        self.prov[layer - 1].append(PROV_COMPUTED)
+    def _extend(self, layer: int, t: int) -> int:
+        """Claim the next t slots of a layer; returns the first."""
+        n = self.lengths[layer - 1]
+        if n + t > self.max_context:
+            raise ValueError(f"context overflow: {n + t} > max_context {self.max_context}")
+        self.lengths[layer - 1] = n + t
+        return n
 
-    def append_absent(self, layer: int) -> None:
-        self.keys[layer - 1].append(None)
-        self.values[layer - 1].append(None)
-        self.prov[layer - 1].append(PROV_ABSENT)
+    def append_computed(self, layer: int, k: np.ndarray, v: np.ndarray) -> int:
+        """Append the rows k, v (t, d); returns the last position written."""
+        n = self._extend(layer, k.shape[0])
+        end = n + k.shape[0]
+        self.keys[layer - 1, n:end] = k
+        self.values[layer - 1, n:end] = v
+        self.prov[layer - 1, n:end] = PROV_COMPUTED
+        return end - 1
+
+    def append_absent(self, layer: int, t: int) -> None:
+        n = self._extend(layer, t)
+        self.pending[layer - 1].extend(range(n, n + t))
 
     def fill(self, layer: int, position: int, k: np.ndarray, v: np.ndarray) -> None:
-        if self.prov[layer - 1][position] != PROV_ABSENT:
-            raise ValueError(f"layer {layer} position {position} already written")
-        self.keys[layer - 1][position] = k
-        self.values[layer - 1][position] = v
-        self.prov[layer - 1][position] = PROV_FILLED
+        if position >= self.lengths[layer - 1] or self.prov[layer - 1, position] != PROV_ABSENT:
+            raise ValueError(f"layer {layer} position {position} already written or not yet cached")
+        self.keys[layer - 1, position] = k
+        self.values[layer - 1, position] = v
+        self.prov[layer - 1, position] = PROV_FILLED
+        self.pending[layer - 1].remove(position)
 
     def kv_matrices(self, layer: int, upto: int) -> tuple[np.ndarray, np.ndarray]:
-        """Stacked K and V for positions 0..upto; every slot must be readable."""
-        prov = self.prov[layer - 1]
-        for j in range(upto + 1):
-            if prov[j] == PROV_ABSENT:
-                raise ValueError(f"layer {layer} position {j} is absent at read time")
-        k = np.stack(self.keys[layer - 1][: upto + 1])
-        v = np.stack(self.values[layer - 1][: upto + 1])
-        return k, v
+        """K and V views for positions 0..upto; every slot must be readable."""
+        if upto >= self.lengths[layer - 1]:
+            raise ValueError(f"layer {layer} holds {self.lengths[layer - 1]} positions, read up to {upto}")
+        pending = self.pending[layer - 1]
+        if pending and pending[0] <= upto:
+            raise ValueError(f"layer {layer} position {pending[0]} is absent at read time")
+        return self.keys[layer - 1, : upto + 1], self.values[layer - 1, : upto + 1]
 
     def provenance(self) -> np.ndarray:
-        """(num_layers, num_positions) provenance codes."""
-        return np.array(self.prov, dtype=np.int64)
+        """(num_layers, num_positions) provenance codes, a copy."""
+        return self.prov[:, : self.num_positions].astype(np.int64)
 
 
 class HiddenTrace:
@@ -165,9 +202,10 @@ class HiddenTrace:
         self.rows: list[np.ndarray] = []  # each (L+1, d)
 
     def append(self, states: np.ndarray) -> None:
-        if states.shape != (self.num_layers + 1, self.hidden_dim):
-            raise ValueError(f"trace row shape {states.shape}")
-        self.rows.append(states)
+        """Append the states (t, L+1, d) of t consecutive positions."""
+        if states.shape[1:] != (self.num_layers + 1, self.hidden_dim):
+            raise ValueError(f"trace rows shape {states.shape}")
+        self.rows.extend(states)
 
     def h(self, position: int, layer: int) -> np.ndarray:
         return self.rows[position][layer]
@@ -229,8 +267,9 @@ class DecoderModel:
         )
 
     def _kv_for_state(self, layer: int, h_in: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Key/value rows this layer derives from an incoming hidden state.
-        Used both for executed positions and for filling skipped ones."""
+        """Key/value rows this layer derives from an incoming hidden state:
+        the fill of a skipped position, the same LN1 and projections that
+        `_block` applies to an executed one."""
         p = f"layer{layer}."
         x = self._ln(h_in, p + "ln1")
         k = x @ self.params[p + "wk"] + self.params[p + "bk"]
@@ -238,52 +277,69 @@ class DecoderModel:
         return k, v
 
     def _fill_absent(self, layer: int, cache: KVCache, trace: HiddenTrace, upto: int) -> None:
-        prov = cache.prov[layer - 1]
-        for j in range(min(upto + 1, len(prov))):
-            if prov[j] == PROV_ABSENT:
-                k, v = self._kv_for_state(layer, trace.h(j, layer - 1))
-                cache.fill(layer, j, k, v)
+        """Fill the layer's pending slots at positions 0..upto, in order, one
+        row at a time from each position's incoming hidden state."""
+        pending = cache.pending[layer - 1]
+        while pending and pending[0] <= upto:
+            j = pending[0]
+            k, v = self._kv_for_state(layer, trace.h(j, layer - 1))
+            cache.fill(layer, j, k, v)
 
-    def _block(self, layer: int, h: np.ndarray, keys: np.ndarray, values: np.ndarray) -> np.ndarray:
-        """One transformer block on the rows `h` (t, d), which are the last t
-        of the positions whose keys/values (T, d) are given."""
+    def _block(self, layer: int, h: np.ndarray, cache: KVCache | None = None) -> np.ndarray:
+        """One transformer block on the rows `h` (t, d). Without a cache the
+        rows attend causally among themselves; with one they are the next t
+        positions: their k/v are appended to the cache and they attend over
+        every cached row of the layer, which must all be readable."""
         p = f"layer{layer}."
         prm = self.params
         x = self._ln(h, p + "ln1")
         q = x @ prm[p + "wq"] + prm[p + "bq"]
+        keys = x @ prm[p + "wk"] + prm[p + "bk"]
+        values = x @ prm[p + "wv"] + prm[p + "bv"]
+        if cache is not None:
+            keys, values = cache.kv_matrices(layer, cache.append_computed(layer, keys, values))
         attn = _attention_apply(_attention_weights(q, keys, self.cfg.num_heads), values)
         h = h + attn @ prm[p + "wo"] + prm[p + "bo"]
         x2 = self._ln(h, p + "ln2")
         return h + _gelu_forward(x2 @ prm[p + "w1"] + prm[p + "b1"]) @ prm[p + "w2"] + prm[p + "b2"]
 
-    # -- incremental routed forward ------------------------------------------
+    # -- cached routed forward ------------------------------------------------
+
+    def _cached_pass(
+        self, h: np.ndarray, start: int, gate: GateFn, cache: KVCache, trace: HiddenTrace
+    ) -> tuple[np.ndarray, tuple[int, ...]]:
+        """Run the embedded rows h (t, d) at positions start.. through every
+        layer, appending to cache and trace. `gate(l, h)` gives layer l's bit
+        for all t rows. Returns (final hidden rows, bits)."""
+        cfg = self.cfg
+        if cache.num_positions != start or trace.num_positions != start:
+            raise ValueError(
+                f"cache/position inconsistency: cache holds {cache.num_positions} positions, stepping {start}"
+            )
+        states = np.empty((h.shape[0], cfg.num_layers + 1, cfg.hidden_dim))
+        states[:, 0] = h
+        bits = []
+        for l in range(1, cfg.num_layers + 1):
+            bit = int(gate(l, h))
+            bits.append(bit)
+            if bit:
+                self._fill_absent(l, cache, trace, start - 1)
+                h = self._block(l, h, cache)
+            else:
+                cache.append_absent(l, h.shape[0])
+            states[:, l] = h
+        trace.append(states)
+        return h, tuple(bits)
+
+    def _head(self, h_row: np.ndarray, bits: tuple[int, ...]) -> StepResult:
+        logits = self._ln(h_row, "final_ln") @ self.params["head.w"] + self.params["head.b"]
+        return StepResult(probs=_softmax_forward(logits), logits=logits, bits=bits)
 
     def step(self, token_id: int, pos: int, gate_fn: GateFn, cache: KVCache, trace: HiddenTrace) -> StepResult:
         """Process one position with per-layer gating, updating cache+trace."""
-        cfg = self.cfg
-        if cache.num_positions != pos or trace.num_positions != pos:
-            raise ValueError(
-                f"cache/position inconsistency: cache holds {cache.num_positions} positions, stepping {pos}"
-            )
         h = self.embed([token_id], start_pos=pos)
-        states = np.empty((cfg.num_layers + 1, cfg.hidden_dim))
-        states[0] = h[0]
-        bits = []
-        for l in range(1, cfg.num_layers + 1):
-            bit = int(gate_fn(l, h[0]))
-            bits.append(bit)
-            if bit:
-                self._fill_absent(l, cache, trace, pos - 1)
-                k, v = self._kv_for_state(l, h)
-                cache.append_computed(l, k[0], v[0])
-                h = self._block(l, h, *cache.kv_matrices(l, pos))
-            else:
-                cache.append_absent(l)
-            states[l] = h[0]
-        trace.append(states)
-        logits = self._ln(h[0], "final_ln") @ self.params["head.w"] + self.params["head.b"]
-        probs = _softmax_forward(logits)
-        return StepResult(probs=probs, logits=logits, bits=tuple(bits))
+        h, bits = self._cached_pass(h, pos, lambda l, rows: gate_fn(l, rows[0]), cache, trace)
+        return self._head(h[0], bits)
 
     def routed_forward(
         self,
@@ -292,22 +348,21 @@ class DecoderModel:
         cache: KVCache,
         trace: HiddenTrace,
     ) -> StepResult:
-        """Run the not-yet-cached suffix of the sequence under one mask.
-        Returns the result at the final position."""
+        """Run the not-yet-cached suffix of the sequence under one mask, all
+        of its positions in one pass. Returns the result at the final
+        position."""
         if len(mask.bits) != self.cfg.num_layers:
             raise ValueError(f"mask has {len(mask.bits)} bits for {self.cfg.num_layers} layers")
         start = cache.num_positions
         if start >= len(token_ids):
             raise ValueError("no new positions to process")
-        gate = _mask_gate(mask.bits)
-        result = None
-        for pos in range(start, len(token_ids)):
-            result = self.step(token_ids[pos], pos, gate, cache, trace)
-        assert result is not None
-        return result
+        h = self.embed(token_ids[start:], start_pos=start)
+        h, bits = self._cached_pass(h, start, _mask_gate(mask.bits), cache, trace)
+        return self._head(h[-1], bits)
 
     def new_state(self) -> tuple[KVCache, HiddenTrace]:
-        return KVCache(self.cfg.num_layers), HiddenTrace(self.cfg.num_layers, self.cfg.hidden_dim)
+        cfg = self.cfg
+        return KVCache(cfg.num_layers, cfg.max_context, cfg.hidden_dim), HiddenTrace(cfg.num_layers, cfg.hidden_dim)
 
     # -- generation -----------------------------------------------------------
 
@@ -413,7 +468,7 @@ class DecoderModel:
         states = np.empty((len(ids), self.cfg.num_layers + 1, self.cfg.hidden_dim))
         states[:, 0] = h
         for l in range(1, self.cfg.num_layers + 1):
-            out = self._block(l, h, *self._kv_for_state(l, h))
+            out = self._block(l, h)
             if gate_bits is not None:
                 gates = gate_bits[:, l - 1 : l]
                 h = gates * out + (1.0 - gates) * h

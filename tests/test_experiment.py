@@ -195,6 +195,20 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
         assert "unknown config key" in capsys.readouterr().err
 
 
+def test_fewer_than_two_controller_eval_sequences_rejected(tmp_path, capsys):
+    # the controller sweep's confidence interval needs two samples; the
+    # config is refused before any stage trains
+    bad = tmp_path / "bad.ini"
+    for n in (0, 1):
+        bad.write_text(f"[controllers]\neval_sequences = {n}\n")
+        with pytest.raises(ValueError, match="eval_sequences must be >= 2"):
+            ExperimentConfig.load(bad)
+        assert main(["train-controllers", "--config", str(bad), "--out", str(tmp_path / "o")]) == 1
+        assert "eval_sequences must be >= 2" in capsys.readouterr().err
+    bad.write_text("[controllers]\neval_sequences = 2\n")
+    assert ExperimentConfig.load(bad).controller_train_config().max_eval_sequences == 2
+
+
 def test_config_defaults_and_cost_fractions():
     cfg = ExperimentConfig.load(None)
     assert cfg.model_config().num_layers == 8

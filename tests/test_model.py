@@ -28,6 +28,19 @@ def rand_tokens(rng, length, vocab=CFG.vocab_size):
     return [int(t) for t in rng.integers(0, vocab, size=length)]
 
 
+def step_through(model, tokens, masks, cache=None, trace=None):
+    """Drive `step` one position at a time, position t under masks[t];
+    continues an existing cache and trace when given."""
+    if cache is None:
+        cache, trace = model.new_state()
+    start = cache.num_positions
+    results = [
+        model.step(tokens[pos], pos, lambda l, _h, bits=bits: bits[l - 1], cache, trace)
+        for pos, bits in zip(range(start, len(tokens)), masks)
+    ]
+    return cache, trace, results
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         ModelConfig(num_layers=2, hidden_dim=10, num_heads=3, ffn_dim=8, vocab_size=8, max_context=8)
@@ -61,14 +74,14 @@ def test_embed_context_overflow(model):
 
 def test_early_exit_at_last_layer_equals_full(model):
     rng = np.random.default_rng(1)
+    ee = RoutePlan.early_exit(CFG.num_layers, CFG.num_layers).realize().bits
+    full = full_mask(CFG.num_layers).bits
     for _ in range(10):
         tokens = rand_tokens(rng, 6)
-        cache_a, trace_a = model.new_state()
-        plan_mask = RoutePlan.early_exit(CFG.num_layers, CFG.num_layers).realize()
-        res_a = model.routed_forward(tokens, plan_mask, cache_a, trace_a)
-        cache_b, trace_b = model.new_state()
-        res_b = model.routed_forward(tokens, full_mask(CFG.num_layers), cache_b, trace_b)
-        assert np.array_equal(res_a.probs, res_b.probs)
+        _, _, res_a = step_through(model, tokens, [ee] * len(tokens))
+        _, _, res_b = step_through(model, tokens, [full] * len(tokens))
+        for a, b in zip(res_a, res_b):
+            assert np.array_equal(a.probs, b.probs)
 
 
 def test_only_first_layer_executes_gives_layer1_output(model):
@@ -229,11 +242,102 @@ def test_sampled_generation_deterministic_under_seed(model):
 def test_incremental_matches_parallel_forward(model):
     rng = np.random.default_rng(10)
     tokens = rand_tokens(rng, 9)
-    cache, trace = model.new_state()
-    model.routed_forward(tokens, full_mask(CFG.num_layers), cache, trace)
+    _, trace, results = step_through(model, tokens, [full_mask(CFG.num_layers).bits] * len(tokens))
     states, logits = model.forward_hidden(tokens)
     for t in range(len(tokens)):
         np.testing.assert_allclose(trace.rows[t], states[t], atol=1e-9)
+        np.testing.assert_allclose(results[t].logits, logits[t], atol=1e-9)
+
+
+def test_one_pass_routed_forward_matches_step_loop(model):
+    # Three one-pass calls (full prefix, then (1,0,1,0), then (1,1,1,0),
+    # whose layer 2 fills the middle segment's pending slots before it
+    # attends) against `step` driven position by position under the same gates.
+    rng = np.random.default_rng(17)
+    tokens = rand_tokens(rng, 12)
+    segments = [(5, (1, 1, 1, 1)), (9, (1, 0, 1, 0)), (12, (1, 1, 1, 0))]
+    cache_a, trace_a = model.new_state()
+    cache_b, trace_b = model.new_state()
+    for end, bits in segments:
+        res_a = model.routed_forward(tokens[:end], RouteMask(bits), cache_a, trace_a)
+        _, _, res_b = step_through(model, tokens[:end], [bits] * end, cache_b, trace_b)
+        assert res_a.bits == res_b[-1].bits == bits
+        np.testing.assert_allclose(res_a.logits, res_b[-1].logits, atol=1e-9)
+        np.testing.assert_allclose(np.stack(trace_a.rows), np.stack(trace_b.rows), atol=1e-9)
+        np.testing.assert_array_equal(cache_a.provenance(), cache_b.provenance())
+        assert cache_a.pending == cache_b.pending
+    assert cache_a.pending == [[], [], [], list(range(5, 12))]
+    assert np.all(cache_a.provenance()[1, 5:9] == PROV_FILLED)
+    for cache, trace in ((cache_a, trace_a), (cache_b, trace_b)):
+        fill_missing_kv(model, cache, trace)
+    np.testing.assert_array_equal(cache_a.provenance(), cache_b.provenance())
+    assert cache_a.pending == cache_b.pending == [[], [], [], []]
+    n = len(tokens)
+    np.testing.assert_allclose(cache_a.keys[:, :n], cache_b.keys[:, :n], atol=1e-9)
+    np.testing.assert_allclose(cache_a.values[:, :n], cache_b.values[:, :n], atol=1e-9)
+
+
+def test_kv_read_over_a_pending_slot_raises(model):
+    cache, trace = model.new_state()
+    model.routed_forward([1, 2, 3], RouteMask((1, 0, 1, 0)), cache, trace)
+    k, v = cache.kv_matrices(1, 2)
+    assert k.shape == v.shape == (3, CFG.hidden_dim)
+    with pytest.raises(ValueError, match="absent at read time"):
+        cache.kv_matrices(2, 0)
+    with pytest.raises(ValueError, match="holds 3 positions"):
+        cache.kv_matrices(1, 3)
+
+
+def test_fill_rejects_a_written_slot(model):
+    cache, trace = model.new_state()
+    model.routed_forward([1, 2, 3], RouteMask((1, 0, 1, 0)), cache, trace)
+    row = np.zeros(CFG.hidden_dim)
+    with pytest.raises(ValueError, match="already written"):
+        cache.fill(1, 0, row, row)
+    cache.fill(2, 0, row, row)
+    with pytest.raises(ValueError, match="already written"):
+        cache.fill(2, 0, row, row)
+    with pytest.raises(ValueError, match="not yet cached"):
+        cache.fill(2, 3, row, row)
+    assert cache.pending[1] == [1, 2]
+
+
+def test_provenance_is_a_copy(model):
+    cache, trace = model.new_state()
+    model.routed_forward([1, 2, 3], RouteMask((1, 0, 1, 0)), cache, trace)
+    prov = cache.provenance()
+    assert prov.dtype == np.int64 and prov.shape == (CFG.num_layers, 3)
+    before = prov.copy()
+    prov[:] = PROV_FILLED
+    np.testing.assert_array_equal(cache.provenance(), before)
+    assert cache.pending[1] == [0, 1, 2]
+
+
+def test_step_past_max_context_raises(model):
+    rng = np.random.default_rng(18)
+    cache, trace = model.new_state()
+    model.routed_forward(rand_tokens(rng, CFG.max_context), full_mask(CFG.num_layers), cache, trace)
+    with pytest.raises(ValueError, match="context overflow"):
+        model.step(1, CFG.max_context, lambda l, h: 1, cache, trace)
+    assert cache.num_positions == trace.num_positions == CFG.max_context
+    fresh, _ = model.new_state()
+    with pytest.raises(ValueError, match="context overflow"):
+        fresh.append_absent(1, CFG.max_context + 1)
+
+
+def test_step_computes_two_layer_norms_per_executed_layer(model, monkeypatch):
+    # LN1 (shared by q, k and v) and LN2 per executed layer, plus the final LN.
+    import depthlab.model as model_mod
+
+    calls = []
+    real = model_mod._layer_norm_forward
+    monkeypatch.setattr(model_mod, "_layer_norm_forward", lambda *a: calls.append(1) or real(*a))
+    for bits in ((1, 1, 1, 1), (1, 0, 1, 1), (0, 0, 1, 0)):
+        cache, trace = model.new_state()
+        model.routed_forward([1, 2, 3], full_mask(CFG.num_layers), cache, trace)
+        calls.clear()
+        model.step(4, 3, lambda l, _h: bits[l - 1], cache, trace)
+        assert len(calls) == 2 * sum(bits) + 1
 
 
 def test_incremental_routed_matches_parallel_gated_forward(model):
