@@ -562,13 +562,14 @@ def stage_oracle(cfg: ExperimentConfig, out: Path, budgets: Sequence[float] | No
     result = sweep(matrix, budgets)
     score_matrix_to_csv(matrix, stage / "score_matrix.csv")
     sweep_to_csv(result, stage / "sweep.csv")
-    star = result.star_beta if result.star_beta is not None else max(budgets)
-    assignment = solve_exact(matrix, star)
-    assignment_to_csv(matrix, assignment, stage / f"assignment_beta{star:g}.csv")
+    # The parity point's assignment, or the largest budget's if none reaches parity.
+    point = next((p for p in result.points if p.beta == result.star_beta), result.points[-1])
+    assignment_to_csv(matrix, point.assignment, stage / f"assignment_beta{point.beta:g}.csv")
     with open(stage / "summary.json", "w") as fh:
         json.dump(
             {
                 "star_beta": result.star_beta,
+                "assignment_beta": point.beta,
                 "column_means": {str(c): result.column_means[c] for c in sorted(result.column_means)},
                 "full_model_mean": result.full_model_mean(),
             },
@@ -586,9 +587,10 @@ def stage_chi2(cfg: ExperimentConfig, out: Path, beta: float | None = None) -> P
     files = _prediction_files(out)
     matrix = score_matrix_from_prediction_sets(files)
     if beta is None:
-        budgets = [b for b in cfg.budget_grid() if b >= min(matrix.costs)]
-        star = sweep(matrix, budgets).star_beta
-        beta = star if star is not None else max(budgets)
+        # Test the assignment the oracle stage wrote.
+        summary_path = _require(out / "oracle" / "summary.json", "oracle")
+        beta = json.loads(summary_path.read_text())["assignment_beta"]
+        files.append(summary_path)
     assignment = solve_exact(matrix, beta)
     result = chi_square_homogeneity(
         assignment,
@@ -656,8 +658,7 @@ def stage_report(cfg: ExperimentConfig, out: Path) -> Path:
             )
 
     # Greedy-vs-exact comparison: sampling advantage vs budget reallocation.
-    matrix = score_matrix_from_prediction_sets(_prediction_files(out))
-    col_means = {matrix.costs[j]: float(matrix.scores[:, j].mean()) for j in range(matrix.k)}
+    col_means = {int(c): m for c, m in summary["column_means"].items()}
     with open(stage / "greedy_comparison.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["beta", "exact_score", "greedy_score", "best_single_column"])

@@ -40,6 +40,8 @@ class ScoreMatrix:
         n, k = self.scores.shape
         if k < 1:
             raise ValueError("ScoreMatrix needs at least one model column")
+        if not np.isfinite(self.scores).all():
+            raise ValueError("scores must be finite (no NaN or inf)")
         if len(self.costs) != k:
             raise ValueError(f"{len(self.costs)} costs for {k} score columns")
         if len(self.ids) != n or len(self.label_lengths) != n:
@@ -107,53 +109,77 @@ def _make_assignment(matrix: ScoreMatrix, beta: float, columns: list[int]) -> Bu
     )
 
 
-def solve_exact(matrix: ScoreMatrix, beta: float) -> BudgetAssignment:
-    """Optimal assignment of one model per sequence under a total budget of
-    floor(beta * n) layers.
-
-    Dynamic program over exact total cost (divided by the gcd of the model
-    costs), one rolling value row plus a per-row choice table for
-    backtracking, in the smallest unsigned type that holds a column index.
-    Ties break toward higher score, then lower total cost, then the
-    lexicographically smallest per-row cost vector.
-    """
-    n, k = matrix.n, matrix.k
+def _budget(matrix: ScoreMatrix, beta: float) -> int:
+    """Total budget floor(beta * n); raises InfeasibleBudget below n times the
+    cheapest cost."""
     min_cost = min(matrix.costs)
-    budget = math.floor(beta * n)
-    if budget < n * min_cost:
+    budget = math.floor(beta * matrix.n)
+    if budget < matrix.n * min_cost:
         raise InfeasibleBudget(
             f"budget beta={beta} infeasible: minimum feasible beta is {min_cost}"
         )
+    return budget
 
-    g = math.gcd(*matrix.costs) if k > 1 else matrix.costs[0]
+
+# (final value row, choice table, scaled costs) of one DP.
+_Table = tuple[np.ndarray, np.ndarray, list[int]]
+
+
+def _dp_table(matrix: ScoreMatrix, beta: float) -> _Table:
+    """Suffix DP over exact total cost (divided by the gcd of the model
+    costs), capped at beta's budget. Returns the final value row (`best[c]`:
+    max score of all rows at exactly scaled cost c), the choice table
+    (`choice[i, c]`: row i's column on that path) and the scaled costs.
+
+    A cell depends only on the rows below it and on its own cost, never on
+    the cap, so the table built for the largest budget of a sweep answers
+    every smaller budget: `_backtrack` reads its prefix. The value rows and
+    the per-column buffers are allocated once and reused across rows; the
+    choice table is n x (cap+1) in the smallest unsigned type that holds a
+    column index.
+    """
+    n, k = matrix.n, matrix.k
+    g = math.gcd(*matrix.costs)
     weights = [c // g for c in matrix.costs]
-    cap = min(budget // g, n * max(weights))
+    cap = min(_budget(matrix, beta) // g, n * max(weights))
     order = _column_order(matrix.costs)
 
-    # best[c]: max suffix score of rows i..n-1 using exactly c scaled cost.
     best = np.full(cap + 1, -np.inf)
     best[0] = 0.0
+    new_best = np.empty(cap + 1)
+    cand = np.empty(cap + 1)
+    better = np.empty(cap + 1, dtype=bool)
     choice = np.zeros((n, cap + 1), dtype=np.min_scalar_type(k - 1))
     for i in range(n - 1, -1, -1):
-        new_best = np.full(cap + 1, -np.inf)
+        new_best.fill(-np.inf)
         choice_row = choice[i]
         for j in order:
             w = weights[j]
             if w > cap:
                 continue
-            cand = np.full(cap + 1, -np.inf)
-            cand[w:] = best[: cap + 1 - w] + matrix.scores[i, j]
-            better = cand > new_best
-            new_best[better] = cand[better]
-            choice_row[better] = j
-        best = new_best
+            # Column j moves suffix cost c - w to c; a strict > keeps the
+            # cheaper column on ties, as columns come in cost order.
+            span = cap + 1 - w
+            np.add(best[:span], matrix.scores[i, j], out=cand[:span])
+            np.greater(cand[:span], new_best[w:], out=better[:span])
+            np.copyto(new_best[w:], cand[:span], where=better[:span])
+            np.copyto(choice_row[w:], j, where=better[:span])
+        best, new_best = new_best, best
+    return best, choice, weights
 
-    feasible = np.flatnonzero(np.isfinite(best))
-    target = int(feasible[np.argmax(best[feasible])])  # argmax takes lowest cost on ties
+
+def _backtrack(matrix: ScoreMatrix, beta: float, table: _Table) -> BudgetAssignment:
+    """Assignment for beta from a table built at a budget >= beta: the lowest
+    scaled cost that reaches the best score within beta's cap, then the
+    choice path down from it."""
+    best, choice, weights = table
+    cap = min(_budget(matrix, beta) // math.gcd(*matrix.costs), len(best) - 1)
+    prefix = best[: cap + 1]
+    feasible = np.flatnonzero(np.isfinite(prefix))
+    c = int(feasible[np.argmax(prefix[feasible])])  # argmax takes lowest cost on ties
 
     columns: list[int] = []
-    c = target
-    for i in range(n):
+    for i in range(matrix.n):
         j = int(choice[i, c])
         columns.append(j)
         c -= weights[j]
@@ -161,22 +187,28 @@ def solve_exact(matrix: ScoreMatrix, beta: float) -> BudgetAssignment:
     return _make_assignment(matrix, beta, columns)
 
 
+def solve_exact(matrix: ScoreMatrix, beta: float) -> BudgetAssignment:
+    """Optimal assignment of one model per sequence under a total budget of
+    floor(beta * n) layers.
+
+    Dynamic program over exact total cost (divided by the gcd of the model
+    costs), then a backtrack through its choice table. Ties break toward
+    higher score, then lower total cost, then the lexicographically smallest
+    per-row cost vector.
+    """
+    return _backtrack(matrix, beta, _dp_table(matrix, beta))
+
+
 def solve_greedy(matrix: ScoreMatrix, beta: float) -> BudgetAssignment:
     """Per-sequence argmax over the models whose cost fits the budget
-    individually (no reallocation between sequences)."""
+    individually (no reallocation between sequences); the first maximum in
+    cost order, so lower cost wins ties."""
     if beta < min(matrix.costs):
         raise InfeasibleBudget(
             f"budget beta={beta} infeasible: minimum feasible beta is {min(matrix.costs)}"
         )
-    order = _column_order(matrix.costs)
-    allowed = [j for j in order if matrix.costs[j] <= beta]
-    columns = []
-    for i in range(matrix.n):
-        best_j = allowed[0]
-        for j in allowed[1:]:
-            if matrix.scores[i, j] > matrix.scores[i, best_j]:
-                best_j = j
-        columns.append(best_j)
+    allowed = np.array([j for j in _column_order(matrix.costs) if matrix.costs[j] <= beta])
+    columns = allowed[np.argmax(matrix.scores[:, allowed], axis=1)].tolist()
     return _make_assignment(matrix, beta, columns)
 
 
@@ -187,6 +219,7 @@ class SweepPoint:
     greedy_score: float
     exact_mean_cost: float
     selection_pct: dict[int, float]
+    assignment: BudgetAssignment  # the exact solution at beta
 
 
 @dataclass
@@ -202,8 +235,10 @@ class SweepResult:
 def sweep(matrix: ScoreMatrix, beta_grid: Sequence[float]) -> SweepResult:
     """Run exact and greedy solvers across a budget grid.
 
-    Also locates the smallest grid budget whose exact score reaches the
-    highest-cost model's column mean (the parity point).
+    One DP table, built at the largest budget, serves every budget by
+    backtracking from its own cap. Also locates the smallest grid budget
+    whose exact score reaches the highest-cost model's column mean (the
+    parity point).
     """
     if len(beta_grid) == 0:
         raise ValueError("empty budget grid")
@@ -211,10 +246,13 @@ def sweep(matrix: ScoreMatrix, beta_grid: Sequence[float]) -> SweepResult:
         matrix.costs[j]: float(matrix.scores[:, j].mean()) for j in range(matrix.k)
     }
     full_mean = column_means[max(column_means)]
+    betas = sorted(beta_grid)
+    _budget(matrix, betas[0])  # refuse an infeasible grid before the DP runs
+    table = _dp_table(matrix, betas[-1])
     points = []
     star: float | None = None
-    for beta in sorted(beta_grid):
-        exact = solve_exact(matrix, beta)
+    for beta in betas:
+        exact = _backtrack(matrix, beta, table)
         greedy = solve_greedy(matrix, beta)
         points.append(
             SweepPoint(
@@ -223,6 +261,7 @@ def sweep(matrix: ScoreMatrix, beta_grid: Sequence[float]) -> SweepResult:
                 greedy_score=greedy.mean_score,
                 exact_mean_cost=exact.mean_cost,
                 selection_pct=exact.selection_pct,
+                assignment=exact,
             )
         )
         if star is None and exact.mean_score >= full_mean:

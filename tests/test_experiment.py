@@ -1,7 +1,9 @@
+import csv
 import json
 import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from depthlab.cli import main
@@ -225,3 +227,51 @@ def test_config_hash_stable_and_seed_sensitive():
     assert a.config_hash() == b.config_hash()
     assert a.config_hash() != c.config_hash()
     assert a.model_config_hash() == c.model_config_hash()
+
+
+def _write_prediction_sets(out, rng, n=30, costs=(2, 4, 8)):
+    pred = out / "predictions"
+    pred.mkdir(parents=True)
+    label_len = rng.integers(1, 41, size=n)
+    base = rng.integers(0, 5, size=n)
+    for j, cost in enumerate(costs):
+        with open(pred / f"uls_c{cost}.jsonl", "w") as fh:
+            for i in range(n):
+                score = min(base[i] + j + int(rng.integers(0, 2)), 8) / 8  # tied quarter-steps
+                rec = {"id": f"s{i:03d}", "cost": cost, "text": "", "label_len": int(label_len[i]), "rouge_l": score}
+                fh.write(json.dumps(rec) + "\n")
+    return {f"s{i:03d}": int(label_len[i]) for i in range(n)}
+
+
+def test_chi2_tests_the_assignment_the_oracle_wrote(tmp_path, capsys):
+    out = tmp_path / "out"
+    label_len = _write_prediction_sets(out, np.random.default_rng(0))
+    assert main(["chi2", "--out", str(out)]) == 1
+    assert "run `oracle` first" in capsys.readouterr().err
+
+    # A grid outside the config's, so a chi2 that re-derived the budget from
+    # the config would test another assignment.
+    assert main(["oracle", "--out", str(out), "--budget-grid", "5.25,2.75"]) == 0
+    summary = json.loads((out / "oracle" / "summary.json").read_text())
+    beta = summary["assignment_beta"]
+    assert beta == (summary["star_beta"] if summary["star_beta"] is not None else 5.25)
+    assert main(["chi2", "--out", str(out)]) == 0
+    assert [p.name for p in (out / "chi2").glob("chi2_beta*.json")] == [f"chi2_beta{beta:g}.json"]
+    manifest = json.loads((out / "chi2" / "manifest.json").read_text())
+    assert "oracle/summary.json" in manifest["inputs"]
+
+    cfg = ExperimentConfig.load(None)
+    bin_width, num_bins = cfg.getint("oracle", "bin_width"), cfg.getint("oracle", "num_bins")
+    costs = [2, 4, 8]
+    table = np.zeros((num_bins, len(costs)), dtype=np.int64)
+    with open(out / "oracle" / f"assignment_beta{beta:g}.csv", newline="") as fh:
+        for row in csv.DictReader(fh):
+            b = min((label_len[row["id"]] - 1) // bin_width, num_bins - 1)
+            table[b, costs.index(int(row["chosen_cost"]))] += 1
+    table = table[table.sum(axis=1) > 0][:, table.sum(axis=0) > 0]
+    payload = json.loads((out / "chi2" / f"chi2_beta{beta:g}.json").read_text())
+    assert np.array_equal(np.asarray(payload["table"]), table)
+
+    # An explicit budget is tested as given.
+    assert main(["chi2", "--out", str(out), "--beta", "4"]) == 0
+    assert (out / "chi2" / "chi2_beta4.json").exists()

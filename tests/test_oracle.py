@@ -151,6 +151,12 @@ def test_duplicate_costs_rejected():
         make_matrix([[0.15, 0.6, 0.75], [0.15, 0.6, 0.75]], costs=[2, 2, 4])
 
 
+def test_non_finite_scores_rejected():
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            make_matrix([[0.5, bad], [0.25, 0.75]], costs=[4, 8])
+
+
 def test_greedy_per_row_constraint():
     matrix = make_matrix([[0.2, 0.9, 0.5], [0.8, 0.1, 0.9]], costs=[4, 8, 12])
     result = solve_greedy(matrix, beta=8)
@@ -171,6 +177,34 @@ def test_greedy_equals_exact_at_max_cost():
     exact = solve_exact(matrix, beta=24)
     greedy = solve_greedy(matrix, beta=24)
     assert exact.chosen_columns == greedy.chosen_columns
+
+
+def greedy_loop(matrix, beta):
+    """Reference per-row loop: the first strictly better column in cost order."""
+    allowed = [j for j in sorted(range(matrix.k), key=lambda j: matrix.costs[j]) if matrix.costs[j] <= beta]
+    columns = []
+    for i in range(matrix.n):
+        best_j = allowed[0]
+        for j in allowed[1:]:
+            if matrix.scores[i, j] > matrix.scores[i, best_j]:
+                best_j = j
+        columns.append(best_j)
+    return columns
+
+
+def test_greedy_matches_loop_on_ties():
+    rng = np.random.default_rng(12)
+    levels = np.array([0.25, 0.5, 0.75])
+    for _ in range(40):
+        k = int(rng.integers(1, 6))
+        costs = rng.choice(np.arange(1, 13), size=k, replace=False).tolist()  # unsorted
+        matrix = make_matrix(levels[rng.integers(0, 3, size=(9, k))], costs=costs)
+        beta = float(rng.uniform(min(costs), max(costs) + 1))
+        result = solve_greedy(matrix, beta)
+        columns = greedy_loop(matrix, beta)
+        assert result.chosen_columns == columns
+        assert all(type(j) is int for j in result.chosen_columns)
+        assert result.mean_score == suffix_fold(matrix.scores, columns) / matrix.n
 
 
 def test_dominance_chain_and_monotonicity():
@@ -233,6 +267,38 @@ def test_sweep_star_beta_detection():
     assert star == pytest.approx(16 / 3)
     exact_at_star = solve_exact(matrix, star).mean_score
     assert exact_at_star >= full_mean
+
+
+def test_sweep_points_equal_per_beta_solve_exact():
+    # One table built at the largest budget must answer every smaller budget
+    # exactly as a DP built at that budget does.
+    rng = np.random.default_rng(13)
+    levels = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
+    for trial in range(60):
+        n = int(rng.integers(1, 16))
+        k = 1 if trial % 10 == 0 else int(rng.integers(2, 6))
+        gcd = int(rng.choice([1, 2, 3]))
+        costs = (gcd * rng.choice(np.arange(1, 9), size=k, replace=False)).tolist()  # unsorted
+        scores = rng.uniform(size=(n, k))
+        if trial % 2:
+            scores = levels[rng.integers(0, 5, size=(n, k))]  # many tied scores
+        matrix = make_matrix(scores, costs=costs)
+        grid = rng.uniform(min(costs), max(costs) + 2, size=5).round(3).tolist()  # off-grid betas
+        result = sweep(matrix, grid)
+        assert [pt.beta for pt in result.points] == sorted(grid)
+        for pt in result.points:
+            want = solve_exact(matrix, pt.beta)
+            assert pt.assignment.chosen_columns == want.chosen_columns
+            assert pt.assignment.mean_score == want.mean_score
+            assert pt.exact_score == want.mean_score
+            assert pt.exact_mean_cost == want.mean_cost
+            assert pt.selection_pct == want.selection_pct
+
+
+def test_sweep_rejects_infeasible_budget():
+    matrix = make_matrix([[0.5, 0.6], [0.2, 0.9]], costs=[4, 8])
+    with pytest.raises(InfeasibleBudget, match="beta=3.5 infeasible: minimum feasible beta is 4"):
+        sweep(matrix, [8, 3.5, 6])
 
 
 def test_score_matrix_csv_round_trip(tmp_path):
