@@ -282,14 +282,22 @@ def _attention_weights(q: np.ndarray, k: np.ndarray, num_heads: int) -> np.ndarr
     """(H, Tq, Tk) causal softmax weights for q (Tq, d) against k (Tk, d),
     Tq <= Tk: query row i sits at position Tk - Tq + i and attends to keys
     0..Tk - Tq + i. The one attention kernel of the package: the tape op, the
-    whole-sequence forward and the incremental decode step all use it."""
+    whole-sequence forward and the incremental decode step all use it.
+
+    Works in one score buffer: scale, mask, shift, exp and normalise in
+    place, with `exp` only over the attended keys (exp of the masked -inf
+    half takes numpy's slow underflow path)."""
     tq, tk = q.shape[0], k.shape[0]
-    scores = _heads(q, num_heads) @ _heads(k, num_heads).transpose(0, 2, 1)
-    scores /= math.sqrt(q.shape[1] // num_heads)
-    scores = np.where(np.tri(tq, tk, tk - tq, dtype=bool), scores, -np.inf)
-    scores -= scores.max(axis=-1, keepdims=True)
-    e = np.exp(scores)
-    return e / e.sum(axis=-1, keepdims=True)
+    w = _heads(q, num_heads) @ _heads(k, num_heads).transpose(0, 2, 1)
+    w /= math.sqrt(q.shape[1] // num_heads)
+    past = np.tri(tq, tk, tk - tq, dtype=bool)
+    future = ~past
+    np.copyto(w, -np.inf, where=future)
+    w -= w.max(axis=-1, keepdims=True)
+    np.exp(w, out=w, where=past)
+    np.copyto(w, 0.0, where=future)
+    w /= w.sum(axis=-1, keepdims=True)
+    return w
 
 
 def _attention_apply(weights: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -304,8 +312,12 @@ def _vjp_causal_attention(g, ins, out, at):
     weights = at.get("weights")
     if weights is None:
         weights = _attention_weights(q, k, num_heads)
-    g_weights = gh @ vh.transpose(0, 2, 1)
-    g_scores = weights * (g_weights - (weights * g_weights).sum(axis=-1, keepdims=True))
+    # The score gradient w * (g_w - sum_j w_ij g_w_ij) is built in place in
+    # the g_w buffer. The row sum equals g_i . out_i (out = w v), which costs
+    # (H, T, d_h) instead of another (H, T, T) product.
+    g_scores = gh @ vh.transpose(0, 2, 1)
+    g_scores -= (gh * _heads(out, num_heads)).sum(axis=-1, keepdims=True)
+    g_scores *= weights
     g_scores /= math.sqrt(q.shape[1] // num_heads)
     gq = g_scores @ kh
     gk = g_scores.transpose(0, 2, 1) @ qh
@@ -350,14 +362,17 @@ _FORWARD: dict[str, Callable] = {
 def _vjp_layer_norm(g, ins, out, at):
     x, gain, _bias = ins
     eps = at["eps"]
+    # sum / d: bit-identical to mean, as in `_layer_norm_forward`.
     d = x.shape[-1]
-    mu = x.mean(axis=-1, keepdims=True)
+    mu = x.sum(axis=-1, keepdims=True) / d
     xc = x - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
+    var = (xc * xc).sum(axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + eps)
     xhat = xc * inv
     gxhat = g * gain
-    gx = inv * (gxhat - gxhat.mean(axis=-1, keepdims=True) - xhat * (gxhat * xhat).mean(axis=-1, keepdims=True))
+    mean_g = gxhat.sum(axis=-1, keepdims=True) / d
+    mean_gx = (gxhat * xhat).sum(axis=-1, keepdims=True) / d
+    gx = inv * (gxhat - mean_g - xhat * mean_gx)
     return [gx, (g * xhat).sum(axis=0), g.sum(axis=0)]
 
 
@@ -488,7 +503,13 @@ def evaluate(graph: Graph, inputs: Mapping[str, np.ndarray] | None = None) -> di
 
 def backpropagate(graph: Graph, loss: Tensor) -> dict[int, np.ndarray]:
     """Reverse sweep from a scalar loss. Returns and installs gradients for
-    every requires_grad leaf; fan-out accumulates additively."""
+    every requires_grad leaf; fan-out accumulates additively.
+
+    No VJP writes into a gradient and accumulation is out of place, so a
+    first gradient is kept as the VJP returned it, not copied. Some VJPs
+    pass their incoming gradient through (`add` returns it twice), so a leaf
+    gradient that is a view or the same array as another leaf's is copied
+    before it is installed."""
     if loss.data.size != 1:
         raise ValueError(f"backpropagate: loss must be scalar, got shape {loss.shape}")
     grads: list[np.ndarray | None] = [None] * len(graph.nodes)
@@ -509,14 +530,17 @@ def backpropagate(graph: Graph, loss: Tensor) -> dict[int, np.ndarray]:
         for j, gi in zip(node.input_ids, input_grads):
             if not graph.nodes[j].tensor.requires_grad:
                 continue
-            if grads[j] is None:
-                grads[j] = np.array(gi, dtype=np.float64)
-            else:
-                grads[j] = grads[j] + gi
+            grads[j] = gi if grads[j] is None else grads[j] + gi
     leaf_grads: dict[int, np.ndarray] = {}
+    installed: set[int] = set()
     for i, node in enumerate(graph.nodes):
         if node.op == "leaf" and node.tensor.requires_grad:
-            g = grads[i] if grads[i] is not None else np.zeros_like(node.tensor.data)
+            g = grads[i]
+            if g is None:
+                g = np.zeros_like(node.tensor.data)
+            elif not isinstance(g, np.ndarray) or g.base is not None or id(g) in installed:
+                g = np.array(g, dtype=np.float64)
+            installed.add(id(g))
             node.tensor.grad = g
             leaf_grads[i] = g
     return leaf_grads

@@ -6,6 +6,8 @@ from depthlab.autodiff import (
     NonDifferentiableError,
     NonFiniteError,
     ShapeError,
+    _attention_weights,
+    _vjp_layer_norm,
     backpropagate,
     evaluate,
     gradient_check,
@@ -106,6 +108,18 @@ def test_backprop_fanout_accumulates():
     loss = g.reduce_sum(y)
     backpropagate(g, loss)
     np.testing.assert_allclose(x.grad, [2.0])
+
+
+def test_backprop_leaf_grads_do_not_share_memory():
+    # `add` hands its incoming gradient to both inputs; each leaf still gets
+    # an array of its own.
+    g = Graph()
+    a = g.leaf(np.array([1.0, 2.0]), requires_grad=True)
+    b = g.leaf(np.array([3.0, 4.0]), requires_grad=True)
+    backpropagate(g, g.reduce_sum(g.add(a, b)))
+    np.testing.assert_array_equal(a.grad, [1.0, 1.0])
+    np.testing.assert_array_equal(b.grad, [1.0, 1.0])
+    assert not np.shares_memory(a.grad, b.grad)
 
 
 def test_backprop_loss_must_be_scalar():
@@ -240,6 +254,53 @@ def test_layer_norm_gradients():
     g.mark_output("loss", g.reduce_sum(g.multiply(y, mixer)))
     report = gradient_check(g, tolerance=1e-5)
     assert report.passed, report.max_rel_error
+
+
+def test_layer_norm_vjp_bit_identical_to_mean_formula():
+    rng = np.random.default_rng(15)
+    eps = 1e-5
+    for shape in ((1, 64), (7, 16), (200, 64)):
+        x, g = rng.normal(size=shape), rng.normal(size=shape)
+        gain, bias = rng.normal(size=shape[1]), rng.normal(size=shape[1])
+        mu = x.mean(axis=-1, keepdims=True)
+        xc = x - mu
+        inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + eps)
+        xhat = xc * inv
+        gxhat = g * gain
+        gx = inv * (gxhat - gxhat.mean(axis=-1, keepdims=True) - xhat * (gxhat * xhat).mean(axis=-1, keepdims=True))
+        expected = [gx, (g * xhat).sum(axis=0), g.sum(axis=0)]
+        got = _vjp_layer_norm(g, (x, gain, bias), None, {"eps": eps})
+        for want, have in zip(expected, got):
+            np.testing.assert_array_equal(have, want)
+
+
+def naive_attention_weights(q, k, num_heads):
+    """Per head and per query row: scaled scores over the keys up to the
+    row's position Tk - Tq + i, softmax, zeros beyond."""
+    tq, tk = q.shape[0], k.shape[0]
+    dh = q.shape[1] // num_heads
+    out = np.zeros((num_heads, tq, tk))
+    for h in range(num_heads):
+        cols = slice(h * dh, (h + 1) * dh)
+        for i in range(tq):
+            seen = tk - tq + i + 1
+            scores = k[:seen, cols] @ q[i, cols] / np.sqrt(dh)
+            e = np.exp(scores - scores.max())
+            out[h, i, :seen] = e / e.sum()
+    return out
+
+
+ATTENTION_SHAPES = [(1, 1), (1, 240), (25, 25), (64, 64), (65, 65), (97, 97), (200, 200), (40, 130)]
+
+
+@pytest.mark.parametrize("tq,tk", ATTENTION_SHAPES)
+def test_attention_weights_match_naive_loop(tq, tk):
+    rng = np.random.default_rng(tq * 1000 + tk)
+    q, k = rng.normal(size=(tq, 64)), rng.normal(size=(tk, 64))
+    w = _attention_weights(q, k, 4)
+    assert w.shape == (4, tq, tk)
+    np.testing.assert_allclose(w, naive_attention_weights(q, k, 4), rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(np.triu(w, tk - tq + 1), 0.0)
 
 
 def test_embedding_and_take_per_row_gradients():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from depthlab.autodiff import Graph, backpropagate
+from depthlab.autodiff import Graph, _gelu_forward, backpropagate
 from depthlab.model import (
     PROV_ABSENT,
     PROV_COMPUTED,
@@ -17,11 +17,23 @@ from depthlab.routing import RouteMask, RoutePlan, full_mask
 from depthlab import tokenizer
 
 CFG = ModelConfig(num_layers=4, hidden_dim=16, num_heads=2, ffn_dim=32, vocab_size=32, max_context=32)
+# Long enough for passes of several attention row blocks.
+LONG_CFG = ModelConfig(num_layers=4, hidden_dim=16, num_heads=2, ffn_dim=32, vocab_size=32, max_context=256)
 
 
 @pytest.fixture(scope="module")
 def model():
     return DecoderModel(CFG, init_params(CFG, seed=0))
+
+
+@pytest.fixture(scope="module")
+def long_model():
+    # Query and key weights scaled up so that attention is far from uniform.
+    params = init_params(LONG_CFG, seed=3)
+    for name in params:
+        if name.endswith(("wq", "wk")):
+            params[name] = params[name] * 25.0
+    return DecoderModel(LONG_CFG, params)
 
 
 def rand_tokens(rng, length, vocab=CFG.vocab_size):
@@ -407,3 +419,82 @@ def test_generate_stops_at_eos(model):
     res2 = model.generate(prompt, plan=RoutePlan.full(CFG.num_layers), max_new=20, rng_seed=0, eos_id=dominant)
     assert res2.generated_ids[-1] == dominant
     assert len(res2.generated_ids) <= len(res.generated_ids)
+
+
+def naive_attention(q, keys, values, num_heads):
+    """Per head and per query row: softmax of the scaled scores over the keys
+    up to the row's position, then the weighted sum of those values."""
+    tq, tk = q.shape[0], keys.shape[0]
+    dh = q.shape[1] // num_heads
+    out = np.zeros_like(q)
+    for h in range(num_heads):
+        cols = slice(h * dh, (h + 1) * dh)
+        for i in range(tq):
+            seen = tk - tq + i + 1
+            scores = keys[:seen, cols] @ q[i, cols] / np.sqrt(dh)
+            e = np.exp(scores - scores.max())
+            out[i, cols] = (e / e.sum()) @ values[:seen, cols]
+    return out
+
+
+@pytest.mark.parametrize("tq,tk", [(1, 1), (1, 240), (25, 25), (64, 64), (65, 65), (97, 97), (200, 200), (40, 130)])
+def test_block_matches_naive_attention(long_model, tq, tk):
+    # `_block` on tq new rows after tk - tq cached positions (no cache when
+    # tq == tk) against the block rebuilt around a naive attention loop.
+    m, layer = long_model, 2
+    rng = np.random.default_rng(tq * 1000 + tk)
+    cache = None
+    keys = values = np.zeros((0, LONG_CFG.hidden_dim))
+    if tk > tq:
+        cache, trace = m.new_state()
+        m.routed_forward(rand_tokens(rng, tk - tq), full_mask(LONG_CFG.num_layers), cache, trace)
+        keys, values = cache.kv_matrices(layer, tk - tq - 1)
+        keys, values = keys.copy(), values.copy()
+    h = rng.normal(size=(tq, LONG_CFG.hidden_dim))
+    p, prm = f"layer{layer}.", m.params
+    x = m._ln(h, p + "ln1")
+    q = x @ prm[p + "wq"] + prm[p + "bq"]
+    keys = np.vstack([keys, x @ prm[p + "wk"] + prm[p + "bk"]])
+    values = np.vstack([values, x @ prm[p + "wv"] + prm[p + "bv"]])
+    attn = naive_attention(q, keys, values, LONG_CFG.num_heads)
+    mid = h + attn @ prm[p + "wo"] + prm[p + "bo"]
+    mlp = _gelu_forward(m._ln(mid, p + "ln2") @ prm[p + "w1"] + prm[p + "b1"]) @ prm[p + "w2"] + prm[p + "b2"]
+    np.testing.assert_allclose(m._block(layer, h, cache), mid + mlp, rtol=0, atol=1e-12)
+
+
+def test_one_pass_over_several_row_blocks_matches_step_loop_and_forward_hidden(long_model, monkeypatch):
+    # A cached prefix, then a 100-row pass under (1,0,1,0) and a 70-row pass
+    # under (1,1,1,0), whose layer 2 fills the 100 pending slots before it
+    # attends: both one-pass calls cross row-block boundaries.
+    import depthlab.model as model_mod
+
+    m = long_model
+    rng = np.random.default_rng(19)
+    tokens = rand_tokens(rng, 200)
+    segments = [(30, (1, 1, 1, 1)), (130, (1, 0, 1, 0)), (200, (1, 1, 1, 0))]
+    block_rows = []
+    real = model_mod._attention_weights
+    monkeypatch.setattr(model_mod, "_attention_weights", lambda q, k, h: block_rows.append(q.shape[0]) or real(q, k, h))
+    cache_a, trace_a = m.new_state()
+    for end, bits in segments:
+        res_a = m.routed_forward(tokens[:end], RouteMask(bits), cache_a, trace_a)
+    assert max(block_rows) == model_mod._ROW_BLOCK < 70
+    monkeypatch.undo()
+
+    cache_b, trace_b = m.new_state()
+    gate_bits = np.ones((len(tokens), LONG_CFG.num_layers))
+    start = 0
+    for end, bits in segments:
+        _, _, res_b = step_through(m, tokens[:end], [bits] * (end - start), cache_b, trace_b)
+        gate_bits[start:end] = bits
+        start = end
+    states, logits = m.forward_hidden(tokens, gate_bits=gate_bits)
+    np.testing.assert_allclose(res_a.logits, res_b[-1].logits, atol=1e-9)
+    np.testing.assert_allclose(res_a.logits, logits[-1], atol=1e-9)
+    np.testing.assert_allclose(np.stack(trace_a.rows), np.stack(trace_b.rows), atol=1e-9)
+    np.testing.assert_allclose(np.stack(trace_a.rows), states, atol=1e-9)
+    np.testing.assert_array_equal(cache_a.provenance(), cache_b.provenance())
+    assert cache_a.pending == cache_b.pending == [[], [], [], list(range(30, 200))]
+    n = len(tokens)
+    np.testing.assert_allclose(cache_a.keys[:, :n], cache_b.keys[:, :n], atol=1e-9)
+    np.testing.assert_allclose(cache_a.values[:, :n], cache_b.values[:, :n], atol=1e-9)
