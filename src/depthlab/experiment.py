@@ -9,6 +9,7 @@ import configparser
 import csv
 import hashlib
 import json
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -279,9 +280,11 @@ def write_stage_manifest(
     """Hash everything the stage read and wrote; paths are stored relative to
     the run root so reruns in different roots stay byte-identical."""
 
+    root = out_root.resolve()
+
     def rel(p: Path) -> str:
         try:
-            return p.resolve().relative_to(out_root.resolve()).as_posix()
+            return p.resolve().relative_to(root).as_posix()
         except ValueError:
             return p.name
 
@@ -565,6 +568,15 @@ def stage_oracle(cfg: ExperimentConfig, out: Path, budgets: Sequence[float] | No
     # The parity point's assignment, or the largest budget's if none reaches parity.
     point = next((p for p in result.points if p.beta == result.star_beta), result.points[-1])
     assignment_to_csv(matrix, point.assignment, stage / f"assignment_beta{point.beta:g}.csv")
+    # Degenerate: no model beats the cheapest on any sequence, so every
+    # budget's answer is the cheapest model and star_beta says nothing.
+    degenerate = result.columns_kept == matrix.n
+    if degenerate:
+        print(
+            f"warning: oracle: no model scores above the cheapest (cost {min(matrix.costs)}) "
+            f"on any of {matrix.n} sequences; the sweep is degenerate",
+            file=sys.stderr,
+        )
     with open(stage / "summary.json", "w") as fh:
         json.dump(
             {
@@ -572,6 +584,8 @@ def stage_oracle(cfg: ExperimentConfig, out: Path, budgets: Sequence[float] | No
                 "assignment_beta": point.beta,
                 "column_means": {str(c): result.column_means[c] for c in sorted(result.column_means)},
                 "full_model_mean": result.full_model_mean(),
+                "columns_kept": result.columns_kept,
+                "degenerate": degenerate,
             },
             fh,
             indent=2,

@@ -12,8 +12,7 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-
-from .special import chi2_sf
+from scipy.special import chdtrc
 
 
 class InfeasibleBudget(ValueError):
@@ -25,8 +24,8 @@ class ScoreMatrix:
     """n sequences x k candidate models.
 
     `costs[j]` is the per-sequence cost (executed layers) of model column j;
-    `scores[i, j]` its quality score (ROUGE-L) on sequence i. Text references
-    are optional and carried only for report output.
+    `scores[i, j]` its quality score (ROUGE-L) on sequence i. `texts` is
+    optional; no stage fills it.
     """
 
     ids: list[str]
@@ -121,15 +120,27 @@ def _budget(matrix: ScoreMatrix, beta: float) -> int:
     return budget
 
 
-# (final value row, choice table, scaled costs) of one DP.
-_Table = tuple[np.ndarray, np.ndarray, list[int]]
+# (final value row, choice table, scaled costs, kept pairs) of one DP.
+_Table = tuple[np.ndarray, np.ndarray, list[int], int]
 
 
 def _dp_table(matrix: ScoreMatrix, beta: float) -> _Table:
     """Suffix DP over exact total cost (divided by the gcd of the model
     costs), capped at beta's budget. Returns the final value row (`best[c]`:
     max score of all rows at exactly scaled cost c), the choice table
-    (`choice[i, c]`: row i's column on that path) and the scaled costs.
+    (`choice[i, c]`: row i's column on that path), the scaled costs and the
+    number of (row, column) pairs kept by the dominance rule.
+
+    Dominance (the MCKP reduction): on row i, a column is kept only if its
+    score is strictly above every cheaper column's; the cheapest is always
+    kept. This is exact, ties included. Float addition is monotone, so
+    swapping a dominated column for a cheaper one that scores at least as
+    much never lowers a path's right-fold sum and strictly lowers its cost;
+    hence no lowest-cost optimal path uses a dominated column. Along that
+    path every cell keeps its value, and each cell's first maximum in cost
+    order is a kept column, so `_backtrack` finds the same cost and the same
+    columns as without the rule, for every budget. Cells off every optimal
+    path may hold lower values; nothing reads them.
 
     A cell depends only on the rows below it and on its own cost, never on
     the cap, so the table built for the largest budget of a sweep answers
@@ -142,7 +153,10 @@ def _dp_table(matrix: ScoreMatrix, beta: float) -> _Table:
     g = math.gcd(*matrix.costs)
     weights = [c // g for c in matrix.costs]
     cap = min(_budget(matrix, beta) // g, n * max(weights))
-    order = _column_order(matrix.costs)
+    order = np.array(_column_order(matrix.costs))
+    by_cost = matrix.scores[:, order]
+    keep = np.ones((n, k), dtype=bool)
+    np.greater(by_cost[:, 1:], np.maximum.accumulate(by_cost, axis=1)[:, :-1], out=keep[:, 1:])
 
     best = np.full(cap + 1, -np.inf)
     best[0] = 0.0
@@ -153,10 +167,10 @@ def _dp_table(matrix: ScoreMatrix, beta: float) -> _Table:
     for i in range(n - 1, -1, -1):
         new_best.fill(-np.inf)
         choice_row = choice[i]
-        for j in order:
+        for j in order[keep[i]].tolist():
             w = weights[j]
             if w > cap:
-                continue
+                break
             # Column j moves suffix cost c - w to c; a strict > keeps the
             # cheaper column on ties, as columns come in cost order.
             span = cap + 1 - w
@@ -165,14 +179,14 @@ def _dp_table(matrix: ScoreMatrix, beta: float) -> _Table:
             np.copyto(new_best[w:], cand[:span], where=better[:span])
             np.copyto(choice_row[w:], j, where=better[:span])
         best, new_best = new_best, best
-    return best, choice, weights
+    return best, choice, weights, int(keep.sum())
 
 
 def _backtrack(matrix: ScoreMatrix, beta: float, table: _Table) -> BudgetAssignment:
     """Assignment for beta from a table built at a budget >= beta: the lowest
     scaled cost that reaches the best score within beta's cap, then the
     choice path down from it."""
-    best, choice, weights = table
+    best, choice, weights, _ = table
     cap = min(_budget(matrix, beta) // math.gcd(*matrix.costs), len(best) - 1)
     prefix = best[: cap + 1]
     feasible = np.flatnonzero(np.isfinite(prefix))
@@ -227,6 +241,7 @@ class SweepResult:
     points: list[SweepPoint]
     column_means: dict[int, float]
     star_beta: float | None
+    columns_kept: int  # (sequence, model) pairs no cheaper model dominates
 
     def full_model_mean(self) -> float:
         return self.column_means[max(self.column_means)]
@@ -266,7 +281,9 @@ def sweep(matrix: ScoreMatrix, beta_grid: Sequence[float]) -> SweepResult:
         )
         if star is None and exact.mean_score >= full_mean:
             star = beta
-    return SweepResult(points=points, column_means=column_means, star_beta=star)
+    return SweepResult(
+        points=points, column_means=column_means, star_beta=star, columns_kept=table[3]
+    )
 
 
 @dataclass
@@ -327,7 +344,7 @@ def chi_square_homogeneity(
     return Chi2Result(
         statistic=stat,
         dof=dof,
-        p_value=chi2_sf(stat, dof),
+        p_value=float(chdtrc(dof, stat)),
         table=kept,
         bin_labels=kept_bins,
         model_costs=kept_models,
@@ -370,23 +387,25 @@ def score_matrix_from_csv(path: str | Path) -> ScoreMatrix:
 
 def score_matrix_from_prediction_sets(paths: Sequence[str | Path]) -> ScoreMatrix:
     """Join per-model prediction sets (JSONL of id/cost/text/rouge_l/label_len)
-    into one matrix, keyed by sequence id."""
+    into one matrix, keyed by sequence id. Each file is decoded in one call,
+    as a JSON array of its lines."""
     sets = []
     for path in paths:
-        records = {}
-        cost = None
         with open(path) as fh:
-            for line in fh:
-                rec = json.loads(line)
-                if cost is None:
-                    cost = int(rec["cost"])
-                elif int(rec["cost"]) != cost:
-                    raise ValueError(f"{path}: mixed costs in one prediction set")
-                if rec["id"] in records:
-                    raise ValueError(f"{path}: duplicate id {rec['id']}")
-                records[rec["id"]] = rec
-        if cost is None:
+            lines = fh.readlines()
+        recs = json.loads("[" + ",".join(lines) + "]")
+        if len(recs) != len(lines):
+            raise ValueError(f"{path}: expected one JSON record per line")
+        if not recs:
             raise ValueError(f"{path}: empty prediction set")
+        cost = int(recs[0]["cost"])
+        records = {}
+        for rec in recs:
+            if int(rec["cost"]) != cost:
+                raise ValueError(f"{path}: mixed costs in one prediction set")
+            if rec["id"] in records:
+                raise ValueError(f"{path}: duplicate id {rec['id']}")
+            records[rec["id"]] = rec
         sets.append((cost, records))
     sets.sort(key=lambda item: item[0])
     ids = sorted(sets[0][1])
@@ -396,8 +415,7 @@ def score_matrix_from_prediction_sets(paths: Sequence[str | Path]) -> ScoreMatri
     costs = [cost for cost, _ in sets]
     scores = np.array([[sets_j[1][i]["rouge_l"] for sets_j in sets] for i in ids])
     lengths = [int(sets[0][1][i]["label_len"]) for i in ids]
-    texts = [[sets_j[1][i]["text"] for sets_j in sets] for i in ids]
-    return ScoreMatrix(ids=ids, label_lengths=lengths, costs=costs, scores=scores, texts=texts)
+    return ScoreMatrix(ids=ids, label_lengths=lengths, costs=costs, scores=scores)
 
 
 def assignment_to_csv(matrix: ScoreMatrix, assignment: BudgetAssignment, path: str | Path) -> None:

@@ -275,3 +275,29 @@ def test_chi2_tests_the_assignment_the_oracle_wrote(tmp_path, capsys):
     # An explicit budget is tested as given.
     assert main(["chi2", "--out", str(out), "--beta", "4"]) == 0
     assert (out / "chi2" / "chi2_beta4.json").exists()
+
+
+def test_oracle_flags_a_degenerate_sweep(tmp_path, capsys):
+    n, costs = 12, (2, 4, 8)
+    out = tmp_path / "flat"
+    pred = out / "predictions"
+    pred.mkdir(parents=True)
+    for cost in costs:
+        with open(pred / f"uls_c{cost}.jsonl", "w") as fh:
+            for i in range(n):
+                rec = {"id": f"s{i:03d}", "cost": cost, "text": "", "label_len": 5, "rouge_l": 0.0}
+                fh.write(json.dumps(rec) + "\n")
+    assert main(["oracle", "--out", str(out)]) == 0
+    summary = json.loads((out / "oracle" / "summary.json").read_text())
+    assert summary["columns_kept"] == n
+    assert summary["degenerate"] is True
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("warning: oracle: no model scores above the cheapest")
+
+    out = tmp_path / "graded"
+    _write_prediction_sets(out, np.random.default_rng(0), n=n, costs=costs)
+    assert main(["oracle", "--out", str(out)]) == 0
+    summary = json.loads((out / "oracle" / "summary.json").read_text())
+    assert n < summary["columns_kept"] <= n * len(costs)
+    assert summary["degenerate"] is False
+    assert capsys.readouterr().err == ""

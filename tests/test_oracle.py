@@ -1,15 +1,19 @@
 import itertools
+import json
 import math
 
 import numpy as np
 import pytest
+from scipy import integrate
 
+from depthlab import oracle
 from depthlab.oracle import (
     BudgetAssignment,
     InfeasibleBudget,
     ScoreMatrix,
     chi_square_homogeneity,
     score_matrix_from_csv,
+    score_matrix_from_prediction_sets,
     score_matrix_to_csv,
     solve_exact,
     solve_greedy,
@@ -295,6 +299,139 @@ def test_sweep_points_equal_per_beta_solve_exact():
             assert pt.selection_pct == want.selection_pct
 
 
+def unpruned_dp_table(matrix, beta):
+    """Reference DP: every column of every row, in cost order, no dominance
+    rule."""
+    n, k = matrix.n, matrix.k
+    g = math.gcd(*matrix.costs)
+    weights = [c // g for c in matrix.costs]
+    cap = min(math.floor(beta * n) // g, n * max(weights))
+    order = sorted(range(k), key=lambda j: matrix.costs[j])
+    best = np.full(cap + 1, -np.inf)
+    best[0] = 0.0
+    choice = np.zeros((n, cap + 1), dtype=np.min_scalar_type(k - 1))
+    for i in range(n - 1, -1, -1):
+        new_best = np.full(cap + 1, -np.inf)
+        for j in order:
+            w = weights[j]
+            if w > cap:
+                continue
+            cand = best[: cap + 1 - w] + matrix.scores[i, j]
+            better = cand > new_best[w:]
+            new_best[w:][better] = cand[better]
+            choice[i, w:][better] = j
+        best = new_best
+    return best, choice, weights, n * k
+
+
+def tricky_matrix(rng, trial):
+    """Small instance with ROUGE-like ties (multiples of 1/4), all-zero and
+    per-row-constant rows, non-monotone rows, unsorted costs and gcd > 1."""
+    n = int(rng.integers(1, 14))
+    k = 1 if trial % 12 == 0 else int(rng.integers(2, 7))
+    gcd = int(rng.choice([1, 2, 3]))
+    costs = (gcd * rng.choice(np.arange(1, 10), size=k, replace=False)).tolist()
+    scores = rng.integers(0, 5, size=(n, k)) / 4
+    kinds = rng.integers(0, 4, size=n)
+    scores[kinds == 0] = 0.0
+    scores[kinds == 1] = scores[kinds == 1, :1]
+    if trial % 3 == 0:
+        scores[kinds == 2] = rng.uniform(size=(int((kinds == 2).sum()), k))
+    return make_matrix(scores, costs=costs)
+
+
+def test_pruned_sweep_equals_unpruned_reference(monkeypatch):
+    rng = np.random.default_rng(14)
+    for trial in range(150):
+        matrix = tricky_matrix(rng, trial)
+        grid = sorted(set(np.arange(min(matrix.costs), max(matrix.costs) + 1.5, 0.5).tolist()))
+        got = sweep(matrix, grid)
+        with monkeypatch.context() as m:
+            m.setattr(oracle, "_dp_table", unpruned_dp_table)
+            want = sweep(matrix, grid)
+        assert got.star_beta == want.star_beta
+        for a, b in zip(got.points, want.points, strict=True):
+            assert a.beta == b.beta
+            assert a.assignment.chosen_columns == b.assignment.chosen_columns
+            assert a.exact_score == b.exact_score
+            assert a.exact_mean_cost == b.exact_mean_cost
+        for beta in grid[:: max(1, len(grid) // 3)]:
+            assert solve_exact(matrix, beta).chosen_columns == want.points[grid.index(beta)].assignment.chosen_columns
+
+
+def test_columns_kept_counts_undominated_pairs():
+    # Costs unsorted: cost order is columns 1, 2, 0.
+    scores = [
+        [0.75, 0.25, 0.5],  # every step up scores more: 3 kept
+        [0.5, 0.5, 0.5],  # constant: only the cheapest
+        [0.0, 0.75, 0.25],  # the cheapest beats both: 1
+        [1.0, 0.0, 0.0],  # tie with the cheapest, then a gain: 2
+        [0.5, 0.75, 0.25],  # the top cost beats its neighbour, not the cheapest: 1
+    ]
+    assert sweep(make_matrix(scores, costs=[9, 3, 6]), [9]).columns_kept == 3 + 1 + 1 + 2 + 1
+    assert sweep(make_matrix(np.zeros((5, 3)), costs=[2, 4, 8]), [2, 8]).columns_kept == 5
+
+
+def write_prediction_set(path, records):
+    with open(path, "w") as fh:
+        for rec in records:
+            fh.write(json.dumps(rec) + "\n")
+
+
+def parse_per_line(paths):
+    """Reference parser: one json.loads per line."""
+    sets = {}
+    for path in paths:
+        with open(path) as fh:
+            recs = [json.loads(line) for line in fh]
+        sets[recs[0]["cost"]] = {rec["id"]: rec for rec in recs}
+    costs = sorted(sets)
+    ids = sorted(sets[costs[0]])
+    scores = [[sets[c][i]["rouge_l"] for c in costs] for i in ids]
+    return ids, costs, scores, [sets[costs[0]][i]["label_len"] for i in ids]
+
+
+def test_prediction_set_parse_matches_per_line_reference(tmp_path):
+    rng = np.random.default_rng(15)
+    n, costs = 40, [6, 2, 8, 4]
+    ids = [f"seq-{i:03d}" for i in rng.permutation(n)]
+    paths = []
+    for cost in costs:
+        recs = [
+            {"id": i, "cost": cost, "text": "a\nb \"c\"", "label_len": int(rng.integers(1, 60)),
+             "rouge_l": int(rng.integers(0, 2)) if cost == 2 else float(rng.uniform())}
+            for i in rng.permutation(ids)
+        ]
+        paths.append(tmp_path / f"uls_c{cost}.jsonl")
+        write_prediction_set(paths[-1], recs)
+    # Label lengths differ between sets here; both parsers take the cheapest's.
+    matrix = score_matrix_from_prediction_sets(paths)
+    want_ids, want_costs, want_scores, want_lengths = parse_per_line(paths)
+    assert matrix.ids == want_ids
+    assert matrix.costs == want_costs
+    assert matrix.label_lengths == want_lengths
+    assert np.array_equal(matrix.scores, np.array(want_scores, dtype=np.float64))
+    assert matrix.texts is None
+
+
+@pytest.mark.parametrize(
+    "lines, message",
+    [
+        (['{"id": "a", "cost": 2, "label_len": 1, "rouge_l": 0.5}', ""], "Expecting value"),
+        (['{"id": "a", "cost": 2, "label_len": 1, "rouge_l": 0.5}', '{"id": "b", "cost": 4, "label_len": 1, "rouge_l": 0.5}'], "mixed costs"),
+        (['{"id": "a", "cost": 2, "label_len": 1, "rouge_l": 0.5}', '{"id": "a", "cost": 2, "label_len": 1, "rouge_l": 0.5}'], "duplicate id a"),
+        ([], "empty prediction set"),
+        (['{"id": "a", "cost": 2, "label_len": 1, "rouge_l": 0.5}, {"id": "b", "cost": 2, "label_len": 1, "rouge_l": 0.5}'], "one JSON record per line"),
+    ],
+    ids=["blank-line", "mixed-costs", "duplicate-id", "empty-file", "two-records-one-line"],
+)
+def test_prediction_set_parse_rejects_malformed_files(tmp_path, lines, message):
+    path = tmp_path / "uls_c2.jsonl"
+    path.write_text("".join(line + "\n" for line in lines))
+    with pytest.raises(ValueError, match=message):
+        score_matrix_from_prediction_sets([path])
+
+
 def test_sweep_rejects_infeasible_budget():
     matrix = make_matrix([[0.5, 0.6], [0.2, 0.9]], costs=[4, 8])
     with pytest.raises(InfeasibleBudget, match="beta=3.5 infeasible: minimum feasible beta is 4"):
@@ -371,3 +508,22 @@ def test_chi2_degenerate_single_model():
     result = chi_square_homogeneity(_assignment(chosen, [4]), lengths)
     assert result.dof == 0
     assert result.p_value == 1.0
+
+
+def chi2_sf_by_quadrature(x, dof):
+    """Independent oracle: numerically integrate the chi-square density."""
+    k = dof / 2.0
+    density = lambda t: t ** (k - 1) * math.exp(-t / 2.0) / (2.0**k * math.gamma(k))
+    return integrate.quad(density, x, np.inf)[0]
+
+
+def test_chi2_p_value_matches_quadrature_oracle():
+    rng = np.random.default_rng(16)
+    all_costs = [4, 8, 12, 16]
+    for k in (2, 3, 4):
+        costs = all_costs[:k]
+        chosen = rng.choice(costs, size=120).tolist()
+        lengths = rng.integers(1, 60, size=120).tolist()
+        result = chi_square_homogeneity(_assignment(chosen, costs), lengths, bin_width=10, num_bins=6)
+        assert result.dof >= 1
+        assert result.p_value == pytest.approx(chi2_sf_by_quadrature(result.statistic, result.dof), abs=1e-8)
