@@ -1,62 +1,43 @@
-import math
+"""The chi-square tail function behind chi_square_homogeneity's p-value.
 
-import numpy as np
+The oracle takes the upper tail from scipy.special.chdtrc; these tests pin
+the values the length-bin analysis depends on.
+"""
+
 import pytest
-from scipy import integrate
 
-from depthlab.special import chi2_cdf, chi2_sf, gamma_p, gamma_q
-
-
-def chi2_pdf(x, dof):
-    k = dof / 2.0
-    return x ** (k - 1) * math.exp(-x / 2.0) / (2.0**k * math.gamma(k))
+from depthlab.oracle import BudgetAssignment, chdtrc, chi_square_homogeneity
 
 
-def sf_by_quadrature(x, dof):
-    """Independent oracle: numerically integrate the chi-square density."""
-    value, _ = integrate.quad(chi2_pdf, x, np.inf, args=(dof,))
-    return value
-
-
-def test_gamma_p_plus_q_is_one():
-    rng = np.random.default_rng(0)
-    for _ in range(50):
-        a = float(rng.uniform(0.2, 20.0))
-        x = float(rng.uniform(0.0, 40.0))
-        assert gamma_p(a, x) + gamma_q(a, x) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_gamma_against_scipy():
-    from scipy.special import gammainc, gammaincc
-
-    rng = np.random.default_rng(1)
-    for _ in range(100):
-        a = float(rng.uniform(0.2, 30.0))
-        x = float(rng.uniform(0.0, 60.0))
-        assert gamma_p(a, x) == pytest.approx(float(gammainc(a, x)), abs=1e-12)
-        assert gamma_q(a, x) == pytest.approx(float(gammaincc(a, x)), abs=1e-12)
+def _assignment(chosen_costs, all_costs):
+    n = len(chosen_costs)
+    return BudgetAssignment(
+        beta=float(max(all_costs)),
+        chosen_columns=[all_costs.index(c) for c in chosen_costs],
+        chosen_costs=list(chosen_costs),
+        mean_score=0.5,
+        mean_cost=sum(chosen_costs) / n,
+        total_cost=sum(chosen_costs),
+        selection_pct={c: 100.0 * chosen_costs.count(c) / n for c in all_costs},
+    )
 
 
 def test_chi2_quantile_95_dof1():
-    assert chi2_cdf(3.8415, 1) == pytest.approx(0.95, abs=1e-4)
-    assert chi2_sf(3.8415, 1) == pytest.approx(0.05, abs=1e-4)
-
-
-def test_chi2_sf_matches_quadrature_oracle():
-    for dof in (1, 2, 5, 10, 28):
-        for x in (0.5, 3.8415, 6.6667, 29.02):
-            assert chi2_sf(x, dof) == pytest.approx(sf_by_quadrature(x, dof), abs=1e-8)
+    assert chdtrc(1, 3.8415) == pytest.approx(0.05, abs=1e-4)
+    assert 1.0 - chdtrc(1, 3.8415) == pytest.approx(0.95, abs=1e-4)
 
 
 def test_chi2_sf_edge_cases():
-    assert chi2_sf(0.0, 3) == 1.0
-    assert chi2_sf(-1.0, 3) == 1.0
-    with pytest.raises(ValueError):
-        chi2_sf(1.0, 0)
-
-
-def test_gamma_invalid_args():
-    with pytest.raises(ValueError):
-        gamma_p(-1.0, 1.0)
-    with pytest.raises(ValueError):
-        gamma_q(1.0, -1.0)
+    for dof in (1, 2, 3, 10):
+        assert chdtrc(dof, 0.0) == 1.0
+    # Three models in equal shares in both bins: statistic 0 on 2 dof.
+    chosen = [4, 8, 12] * 4 + [4, 8, 12] * 4
+    lengths = [5] * 12 + [20] * 12
+    result = chi_square_homogeneity(_assignment(chosen, [4, 8, 12]), lengths)
+    assert result.dof == 2
+    assert result.statistic == pytest.approx(0.0, abs=1e-12)
+    assert result.p_value == 1.0
+    # chdtrc gives 0 on 0 dof; a table with one model reports p = 1 instead.
+    single = chi_square_homogeneity(_assignment([4] * 12, [4]), lengths[:12])
+    assert single.dof == 0
+    assert single.p_value == 1.0
