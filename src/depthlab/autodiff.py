@@ -1,4 +1,4 @@
-"""Dense float64 tensors on a replayable operation tape with reverse-mode
+"""Dense float64 tensors on an operation tape with reverse-mode
 differentiation. Just enough machinery for a toy decoder transformer and
 linear gate controllers: strict shapes, no implicit broadcasting, explicit
 ops for the few structured patterns (bias add, per-row scaling)."""
@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.special import erf
@@ -20,10 +20,6 @@ class ShapeError(ValueError):
     def __init__(self, op: str, detail: str):
         super().__init__(f"{op}: {detail}")
         self.op = op
-
-
-class NonDifferentiableError(RuntimeError):
-    pass
 
 
 class NonFiniteError(RuntimeError):
@@ -60,24 +56,18 @@ def _f64(value) -> np.ndarray:
     return np.array(value, dtype=np.float64, order="C")
 
 
-# Ops whose outputs carry no usable gradient.
-NON_DIFFERENTIABLE = {"argmax"}
-
-
 class Graph:
     """Topologically ordered tape of operations.
 
     Built eagerly: each op method computes its output immediately and records
-    a node. The tape can then be replayed with fresh leaf bindings
-    (`evaluate`) or swept in reverse for gradients (`backpropagate`). Graphs
-    are append-only; a finished graph is safe to share read-only, but a single
-    evaluation or backward pass is single-threaded.
+    a node with the attrs its VJP needs. The tape is then swept in reverse for
+    gradients (`backpropagate`); it is not re-run. Graphs are append-only; a
+    finished graph is safe to share read-only, but a backward pass is
+    single-threaded.
     """
 
     def __init__(self) -> None:
         self.nodes: list[Node] = []
-        self.input_names: dict[str, int] = {}
-        self.output_names: dict[str, int] = {}
 
     # -- construction -------------------------------------------------------
 
@@ -87,24 +77,10 @@ class Graph:
         self.nodes.append(Node(op, tuple(t.node_id for t in inputs), out, attrs or {}))
         return out
 
-    def leaf(self, value, requires_grad: bool = False, name: str | None = None) -> Tensor:
+    def leaf(self, value, requires_grad: bool = False) -> Tensor:
         out = Tensor(_f64(value), requires_grad=requires_grad, node_id=len(self.nodes))
-        self.nodes.append(Node("leaf", (), out, {"name": name}))
+        self.nodes.append(Node("leaf", (), out))
         return out
-
-    def input(self, name: str, value, requires_grad: bool = False) -> Tensor:
-        """A named leaf that `evaluate` requires a binding for."""
-        if name in self.input_names:
-            raise ValueError(f"duplicate input name {name!r}")
-        out = self.leaf(value, requires_grad=requires_grad, name=name)
-        self.input_names[name] = out.node_id
-        return out
-
-    def mark_output(self, name: str, tensor: Tensor) -> Tensor:
-        if name in self.output_names:
-            raise ValueError(f"duplicate output name {name!r}")
-        self.output_names[name] = tensor.node_id
-        return tensor
 
     # -- ops ----------------------------------------------------------------
 
@@ -168,21 +144,9 @@ class Graph:
             raise ShapeError("embedding", f"id out of range for table with {table.shape[0]} rows")
         return self._record("embedding", (table,), table.data[idx], {"ids": idx})
 
-    def concatenate(self, parts: Sequence[Tensor], axis: int = 0) -> Tensor:
-        if not parts:
-            raise ShapeError("concatenate", "needs at least one input")
-        data = np.concatenate([p.data for p in parts], axis=axis)
-        sizes = [p.shape[axis] for p in parts]
-        return self._record("concatenate", tuple(parts), data, {"axis": axis, "sizes": sizes})
-
     def slice(self, x: Tensor, key: tuple[slice, ...]) -> Tensor:
         spans = tuple((s.start, s.stop) for s in key)
         return self._record("slice", (x,), x.data[key].copy(), {"spans": spans})
-
-    def transpose(self, x: Tensor) -> Tensor:
-        if x.data.ndim != 2:
-            raise ShapeError("transpose", f"needs 2-d input, got {x.shape}")
-        return self._record("transpose", (x,), x.data.T.copy())
 
     def reshape(self, x: Tensor, shape: tuple[int, ...]) -> Tensor:
         if int(np.prod(shape)) != x.data.size:
@@ -191,15 +155,6 @@ class Graph:
 
     def reduce_sum(self, x: Tensor, axis: int | None = None) -> Tensor:
         return self._record("reduce_sum", (x,), np.asarray(x.data.sum(axis=axis)), {"axis": axis})
-
-    def reduce_mean(self, x: Tensor, axis: int | None = None) -> Tensor:
-        return self._record("reduce_mean", (x,), np.asarray(x.data.mean(axis=axis)), {"axis": axis})
-
-    def log(self, x: Tensor) -> Tensor:
-        return self._record("log", (x,), np.log(x.data))
-
-    def exponential(self, x: Tensor) -> Tensor:
-        return self._record("exponential", (x,), np.exp(x.data))
 
     def take_per_row(self, x: Tensor, ids: Sequence[int]) -> Tensor:
         if x.data.ndim != 2:
@@ -231,15 +186,9 @@ class Graph:
             "causal_attention", (q, k, v), out, {"num_heads": num_heads, "weights": weights}
         )
 
-    def argmax(self, x: Tensor, axis: int = -1) -> Tensor:
-        """Index of the row maximum; carries no gradient."""
-        return self._record(
-            "argmax", (x,), x.data.argmax(axis=axis).astype(np.float64), {"axis": axis}
-        )
-
 
 # ---------------------------------------------------------------------------
-# Forward kernels shared by eager construction and replay
+# Forward kernels, shared by the tape ops and the numpy model
 # ---------------------------------------------------------------------------
 
 
@@ -309,9 +258,7 @@ def _vjp_causal_attention(g, ins, out, at):
     q, k, v = ins
     num_heads = at["num_heads"]
     qh, kh, vh, gh = (_heads(x, num_heads) for x in (q, k, v, g))
-    weights = at.get("weights")
-    if weights is None:
-        weights = _attention_weights(q, k, num_heads)
+    weights = at["weights"]
     # The score gradient w * (g_w - sum_j w_ij g_w_ij) is built in place in
     # the g_w buffer. The row sum equals g_i . out_i (out = w v), which costs
     # (H, T, d_h) instead of another (H, T, T) product.
@@ -323,35 +270,6 @@ def _vjp_causal_attention(g, ins, out, at):
     gk = g_scores.transpose(0, 2, 1) @ qh
     gv = weights.transpose(0, 2, 1) @ gh
     return [_merge_heads(gq), _merge_heads(gk), _merge_heads(gv)]
-
-
-_FORWARD: dict[str, Callable] = {
-    "matmul": lambda ins, at: ins[0] @ ins[1],
-    "add": lambda ins, at: ins[0] + ins[1],
-    "multiply": lambda ins, at: ins[0] * ins[1],
-    "scale": lambda ins, at: ins[0] * at["factor"],
-    "add_bias": lambda ins, at: ins[0] + ins[1],
-    "scale_rows": lambda ins, at: ins[0] * ins[1][:, None],
-    "layer_norm": lambda ins, at: _layer_norm_forward(ins[0], ins[1], ins[2], at["eps"]),
-    "softmax": lambda ins, at: _softmax_forward(ins[0]),
-    "log_softmax": lambda ins, at: _log_softmax_forward(ins[0]),
-    "gelu": lambda ins, at: _gelu_forward(ins[0]),
-    "embedding": lambda ins, at: ins[0][at["ids"]],
-    "causal_attention": lambda ins, at: _attention_apply(
-        _attention_weights(ins[0], ins[1], at["num_heads"]), ins[2]
-    ),
-    "concatenate": lambda ins, at: np.concatenate(list(ins), axis=at["axis"]),
-    "slice": lambda ins, at: ins[0][tuple(np.s_[a:b] for a, b in at["spans"])].copy(),
-    "transpose": lambda ins, at: ins[0].T.copy(),
-    "reshape": lambda ins, at: ins[0].reshape(at["shape"]).copy(),
-    "reduce_sum": lambda ins, at: np.asarray(ins[0].sum(axis=at["axis"])),
-    "reduce_mean": lambda ins, at: np.asarray(ins[0].mean(axis=at["axis"])),
-    "log": lambda ins, at: np.log(ins[0]),
-    "exponential": lambda ins, at: np.exp(ins[0]),
-    "take_per_row": lambda ins, at: ins[0][np.arange(ins[0].shape[0]), at["ids"]].copy(),
-    "straight_through": lambda ins, at: at["hard"].copy(),
-    "argmax": lambda ins, at: ins[0].argmax(axis=at["axis"]).astype(np.float64),
-}
 
 
 # ---------------------------------------------------------------------------
@@ -387,27 +305,13 @@ def _vjp_log_softmax(g, ins, out, at):
 def _vjp_gelu(g, ins, out, at):
     x = ins[0]
     phi = np.exp(-0.5 * x * x) * _INV_SQRT2PI
-    cdf = at.get("cdf")
-    if cdf is None:
-        cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2))
-    return [g * (cdf + x * phi)]
+    return [g * (at["cdf"] + x * phi)]
 
 
 def _vjp_embedding(g, ins, out, at):
     gt = np.zeros_like(ins[0])
     np.add.at(gt, at["ids"], g)
     return [gt]
-
-
-def _vjp_concatenate(g, ins, out, at):
-    grads = []
-    offset = 0
-    for size, x in zip(at["sizes"], ins):
-        sl = [np.s_[:]] * g.ndim
-        sl[at["axis"]] = np.s_[offset : offset + size]
-        grads.append(g[tuple(sl)].copy())
-        offset += size
-    return grads
 
 
 def _vjp_slice(g, ins, out, at):
@@ -421,15 +325,6 @@ def _vjp_reduce_sum(g, ins, out, at):
     if axis is None:
         return [np.broadcast_to(g, ins[0].shape).copy()]
     return [np.broadcast_to(np.expand_dims(g, axis), ins[0].shape).copy()]
-
-
-def _vjp_reduce_mean(g, ins, out, at):
-    axis = at["axis"]
-    if axis is None:
-        scale = 1.0 / ins[0].size
-        return [np.broadcast_to(g * scale, ins[0].shape).copy()]
-    scale = 1.0 / ins[0].shape[axis]
-    return [np.broadcast_to(np.expand_dims(g * scale, axis), ins[0].shape).copy()]
 
 
 def _vjp_take_per_row(g, ins, out, at):
@@ -451,14 +346,9 @@ _VJP: dict[str, Callable] = {
     "log_softmax": _vjp_log_softmax,
     "gelu": _vjp_gelu,
     "embedding": _vjp_embedding,
-    "concatenate": _vjp_concatenate,
     "slice": _vjp_slice,
-    "transpose": lambda g, ins, out, at: [g.T.copy()],
     "reshape": lambda g, ins, out, at: [g.reshape(ins[0].shape).copy()],
     "reduce_sum": _vjp_reduce_sum,
-    "reduce_mean": _vjp_reduce_mean,
-    "log": lambda g, ins, out, at: [g / ins[0]],
-    "exponential": lambda g, ins, out, at: [g * out],
     "take_per_row": _vjp_take_per_row,
     "straight_through": lambda g, ins, out, at: [g],
 }
@@ -469,41 +359,9 @@ _VJP: dict[str, Callable] = {
 # ---------------------------------------------------------------------------
 
 
-def _replay(graph: Graph, bindings: Mapping[int, np.ndarray]) -> list[np.ndarray]:
-    values: list[np.ndarray] = [None] * len(graph.nodes)  # type: ignore[list-item]
-    for i, node in enumerate(graph.nodes):
-        if node.op == "leaf":
-            values[i] = bindings.get(i, node.tensor.data)
-        else:
-            ins = [values[j] for j in node.input_ids]
-            values[i] = _FORWARD[node.op](ins, node.attrs)
-    return values
-
-
-def evaluate(graph: Graph, inputs: Mapping[str, np.ndarray] | None = None) -> dict[str, np.ndarray]:
-    """Replay the tape with fresh bindings for the named inputs. Deterministic:
-    identical bindings produce bit-identical outputs."""
-    inputs = dict(inputs or {})
-    bindings: dict[int, np.ndarray] = {}
-    for name, node_id in graph.input_names.items():
-        if name not in inputs:
-            raise ValueError(f"evaluate: input {name!r} not bound")
-        value = _f64(inputs.pop(name))
-        expected = graph.nodes[node_id].tensor.shape
-        if value.shape != expected:
-            raise ShapeError("evaluate", f"input {name!r} has shape {value.shape}, expected {expected}")
-        bindings[node_id] = value
-    if inputs:
-        raise ValueError(f"evaluate: unknown inputs {sorted(inputs)}")
-    values = _replay(graph, bindings)
-    if not graph.output_names:
-        raise ValueError("evaluate: graph has no marked outputs")
-    return {name: values[node_id] for name, node_id in graph.output_names.items()}
-
-
-def backpropagate(graph: Graph, loss: Tensor) -> dict[int, np.ndarray]:
-    """Reverse sweep from a scalar loss. Returns and installs gradients for
-    every requires_grad leaf; fan-out accumulates additively.
+def backpropagate(graph: Graph, loss: Tensor) -> None:
+    """Reverse sweep from a scalar loss. Installs `grad` on every
+    requires_grad leaf; fan-out accumulates additively.
 
     No VJP writes into a gradient and accumulation is out of place, so a
     first gradient is kept as the VJP returned it, not copied. Some VJPs
@@ -521,17 +379,12 @@ def backpropagate(graph: Graph, loss: Tensor) -> dict[int, np.ndarray]:
         node = graph.nodes[i]
         if node.op == "leaf":
             continue
-        if node.op in NON_DIFFERENTIABLE:
-            raise NonDifferentiableError(
-                f"op {node.op!r} (node {i}) is on the gradient path but has no gradient"
-            )
         ins = [graph.nodes[j].tensor.data for j in node.input_ids]
         input_grads = _VJP[node.op](g, ins, node.tensor.data, node.attrs)
         for j, gi in zip(node.input_ids, input_grads):
             if not graph.nodes[j].tensor.requires_grad:
                 continue
             grads[j] = gi if grads[j] is None else grads[j] + gi
-    leaf_grads: dict[int, np.ndarray] = {}
     installed: set[int] = set()
     for i, node in enumerate(graph.nodes):
         if node.op == "leaf" and node.tensor.requires_grad:
@@ -542,75 +395,38 @@ def backpropagate(graph: Graph, loss: Tensor) -> dict[int, np.ndarray]:
                 g = np.array(g, dtype=np.float64)
             installed.add(id(g))
             node.tensor.grad = g
-            leaf_grads[i] = g
-    return leaf_grads
-
-
-@dataclass
-class LeafCheck:
-    node_id: int
-    name: str | None
-    max_rel_error: float
-
-
-@dataclass
-class GradientCheckReport:
-    leaves: list[LeafCheck]
-    tolerance: float
-
-    @property
-    def max_rel_error(self) -> float:
-        return max((l.max_rel_error for l in self.leaves), default=0.0)
-
-    @property
-    def passed(self) -> bool:
-        return self.max_rel_error <= self.tolerance
 
 
 def gradient_check(
-    graph: Graph,
-    tolerance: float,
-    loss: Tensor | None = None,
+    loss_at: Callable[[dict[str, np.ndarray]], float],
+    values: dict[str, np.ndarray],
+    grads: dict[str, np.ndarray],
     step: float = 1e-6,
-) -> GradientCheckReport:
-    """Compare analytic gradients against central finite differences for every
-    requires_grad leaf.
+) -> float:
+    """Worst relative error of the analytic `grads` (one per name in
+    `values`) against central finite differences of `loss_at` around
+    `values`.
 
     Relative error per element is |analytic - numeric| divided by
-    max(|analytic|, |numeric|, 1e-8). The loss defaults to the graph's single
-    scalar marked output.
+    max(|analytic|, |numeric|, 1e-8). `loss_at` is called with a copy of
+    `values` in which one element of one array is moved by +-step.
     """
-    if loss is None:
-        scalars = [
-            nid for nid in graph.output_names.values() if graph.nodes[nid].tensor.data.size == 1
-        ]
-        if len(scalars) != 1:
-            raise ValueError("gradient_check: pass loss= or mark exactly one scalar output")
-        loss = graph.nodes[scalars[0]].tensor
-
-    baseline = _replay(graph, {})
-    for i, value in enumerate(baseline):
-        if not np.all(np.isfinite(value)):
-            raise NonFiniteError(f"non-finite value at node {i} ({graph.nodes[i].op})")
-
-    analytic = backpropagate(graph, loss)
-    loss_id = loss.node_id
-
-    checks = []
-    for node_id, grad in analytic.items():
-        node = graph.nodes[node_id]
-        base = node.tensor.data
-        numeric = np.zeros_like(base)
-        flat = base.reshape(-1)
-        num_flat = numeric.reshape(-1)
-        for k in range(flat.size):
+    base = loss_at(values)
+    if not math.isfinite(base):
+        raise NonFiniteError(f"gradient_check: loss is {base} at the given values")
+    worst = 0.0
+    for name, value in values.items():
+        grad = grads[name]
+        if grad.shape != value.shape:
+            raise ShapeError("gradient_check", f"grad {name!r} has shape {grad.shape}, value {value.shape}")
+        numeric = np.zeros(value.size)
+        for k in range(value.size):
             for sign in (+1.0, -1.0):
-                probe = base.copy()
-                probe.reshape(-1)[k] = flat[k] + sign * step
-                values = _replay(graph, {node_id: probe})
-                num_flat[k] += sign * float(values[loss_id].reshape(-1)[0])
-            num_flat[k] /= 2.0 * step
+                probe = value.astype(np.float64)
+                probe.reshape(-1)[k] += sign * step
+                numeric[k] += sign * loss_at({**values, name: probe})
+        numeric = numeric.reshape(value.shape) / (2.0 * step)
         denom = np.maximum(np.maximum(np.abs(grad), np.abs(numeric)), 1e-8)
-        rel = float((np.abs(grad - numeric) / denom).max()) if base.size else 0.0
-        checks.append(LeafCheck(node_id=node_id, name=node.attrs.get("name"), max_rel_error=rel))
-    return GradientCheckReport(leaves=checks, tolerance=tolerance)
+        if value.size:
+            worst = max(worst, float((np.abs(grad - numeric) / denom).max()))
+    return worst

@@ -24,7 +24,8 @@ class InputMode(Enum):
 @dataclass(frozen=True)
 class GumbelConfig:
     temperature: float = 1.0
-    seed: int = 0
+    # False: training tapes forward the relaxed surrogate instead of the
+    # sampled bits, a differentiable forward for gradient checks.
     hard_forward: bool = True
 
     def __post_init__(self) -> None:
@@ -72,15 +73,6 @@ def gate_sample(
     return int(np.argmax(surrogate)), surrogate
 
 
-def sample_gate_rows(
-    logits: np.ndarray, cfg: GumbelConfig, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized gate_sample over (T, 2) logits."""
-    noisy = (logits + gumbel_noise(rng, logits.shape)) / cfg.temperature
-    surrogate = _softmax_forward(noisy)
-    return surrogate.argmax(axis=1).astype(np.float64), surrogate
-
-
 class ControllerBank:
     """Holds the gate parameters for every controlled layer plus the sampling
     configuration, and adapts them to the model's per-layer gate interface."""
@@ -125,31 +117,6 @@ class ControllerBank:
         return fn
 
 
-def controller_loss(
-    p_hat: np.ndarray,
-    p_target: np.ndarray,
-    exec_probs: Sequence[float],
-    alpha: float,
-    reverse_kl: bool = False,
-) -> float:
-    """Cost-regularized distillation loss for one token:
-    KL(p_hat || p_target) + alpha * sum of per-layer execute probabilities.
-    `reverse_kl` flips the divergence direction."""
-    p_hat = np.asarray(p_hat, dtype=np.float64)
-    p_target = np.asarray(p_target, dtype=np.float64)
-    for name, p in (("p_hat", p_hat), ("p_target", p_target)):
-        if abs(p.sum() - 1.0) > 1e-6 or (p < 0).any():
-            raise ValueError(f"{name} is not a normalized distribution")
-    probs = np.asarray(exec_probs, dtype=np.float64)
-    if ((probs < 0) | (probs > 1)).any():
-        raise ValueError("exec_probs must lie in [0, 1]")
-    if reverse_kl:
-        p_hat, p_target = p_target, p_hat
-    mask = p_hat > 0
-    kl = float(np.sum(p_hat[mask] * (np.log(p_hat[mask]) - np.log(p_target[mask]))))
-    return kl + alpha * float(probs.sum())
-
-
 def build_controller_loss(
     g: Graph,
     logits: Tensor,
@@ -157,27 +124,19 @@ def build_controller_loss(
     gate_nodes: Sequence[Tensor],
     alpha: float,
     token_weights: np.ndarray,
-    reverse_kl: bool = False,
 ) -> Tensor:
-    """Tape version of the loss, averaged with `token_weights` (zero on prompt
-    positions, 1/n_label on label positions).
-
-    KL is computed between the model's softmax over `logits` and the constant
-    teacher log-probabilities; the cost term sums the per-layer gate tensors.
+    """Cost-regularized distillation loss on the tape, averaged over tokens
+    with `token_weights` (zero on prompt positions, 1/n_label on label
+    positions): per token, KL(p_hat || p_target) between the model's softmax
+    over `logits` and the constant teacher log-probabilities, plus alpha
+    times the sum of the per-layer gate tensors.
     """
     logp_hat = g.log_softmax(logits)
     target_lp = g.leaf(target_logprobs)
-    if reverse_kl:
-        # KL(p_target || p_hat) = const - sum p_target * logp_hat
-        p_t = np.exp(target_logprobs)
-        const = float((p_t * np.where(p_t > 0, target_logprobs, 0.0)).sum(axis=1) @ token_weights)
-        cross = g.reduce_sum(g.multiply(g.leaf(p_t), logp_hat), axis=1)
-        kl_mean = g.add(g.leaf(np.asarray(const)), g.scale(g.reduce_sum(g.multiply(cross, g.leaf(token_weights))), -1.0))
-    else:
-        p_hat = g.softmax(logits)
-        diff = g.add(logp_hat, g.scale(target_lp, -1.0))
-        kl_rows = g.reduce_sum(g.multiply(p_hat, diff), axis=1)
-        kl_mean = g.reduce_sum(g.multiply(kl_rows, g.leaf(token_weights)))
+    p_hat = g.softmax(logits)
+    diff = g.add(logp_hat, g.scale(target_lp, -1.0))
+    kl_rows = g.reduce_sum(g.multiply(p_hat, diff), axis=1)
+    kl_mean = g.reduce_sum(g.multiply(kl_rows, g.leaf(token_weights)))
     if gate_nodes:
         acc = gate_nodes[0]
         for gate in gate_nodes[1:]:
@@ -202,25 +161,22 @@ def skip_ratio_report(
     alpha: float,
     max_new: int = 32,
     seed: int = 0,
-    stop_at_eos: bool = True,
 ) -> SkipRatioRow:
     """Fraction of generated-token steps where each controlled layer's gate
-    chose skip, measured by running controller-routed generation. With
-    stop_at_eos off, every prompt contributes exactly max_new steps, which
-    keeps the measurement well-defined even when generations end immediately."""
+    chose skip, measured by running controller-routed generation without an
+    EOS stop: every prompt contributes exactly max_new steps, which keeps the
+    measurement well-defined even when generations end immediately."""
     if len(prompts) == 0:
         raise ValueError("empty corpus")
     counts = {l: 0 for l in bank.layers}
     steps = 0
-    from . import tokenizer
-
     for i, prompt in enumerate(prompts):
         res = model.generate(
             prompt,
             gate_fn_factory=bank.gate_fn,
             max_new=max_new,
             rng_seed=int(np.random.default_rng((seed, i)).integers(2**31)),
-            eos_id=tokenizer.EOS if stop_at_eos else None,
+            eos_id=None,
         )
         for bits in res.step_masks:
             steps += 1

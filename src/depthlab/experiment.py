@@ -398,7 +398,7 @@ def stage_train_controllers(
                 model_cfg,
                 init_controller_params(model_cfg, layers, seed=cfg.seed + 1000 * mode_idx + int(alpha)),
                 input_mode=mode,
-                gumbel=GumbelConfig(temperature=temperature, seed=cfg.seed),
+                gumbel=GumbelConfig(temperature=temperature),
             )
             result = train_controllers(model, bank, train_examples, val_examples, tcfg, alpha)
             run_dir = stage / f"{mode.value}_a{alpha:g}"
@@ -447,9 +447,7 @@ def stage_train_controllers(
                 tokenizer.encode(ex.prompt, add_bos=True)
                 for ex in test_examples[: tcfg.max_eval_sequences]
             ]
-            row = skip_ratio_report(
-                model, bank, prompts, alpha, max_new=tcfg.eval_max_new, seed=cfg.seed, stop_at_eos=False
-            )
+            row = skip_ratio_report(model, bank, prompts, alpha, max_new=tcfg.eval_max_new, seed=cfg.seed)
             for layer, frac in sorted(row.skip_fraction.items()):
                 ratio_rows.append(
                     {"input_mode": mode.value, "alpha": alpha, "layer": layer, "skip_fraction": frac}

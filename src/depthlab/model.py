@@ -514,7 +514,7 @@ def fill_missing_kv(model: DecoderModel, cache: KVCache, trace: HiddenTrace) -> 
 
 
 def graph_leaves(g: Graph, params: dict[str, np.ndarray], trainable: bool = True) -> dict[str, Tensor]:
-    return {name: g.leaf(value, requires_grad=trainable, name=name) for name, value in params.items()}
+    return {name: g.leaf(value, requires_grad=trainable) for name, value in params.items()}
 
 
 def build_graph_forward(

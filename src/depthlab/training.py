@@ -13,11 +13,7 @@ from typing import Sequence
 import numpy as np
 
 from .autodiff import Graph, backpropagate, _log_softmax_forward
-from .controller import (
-    ControllerBank,
-    build_controller_loss,
-    gumbel_noise,
-)
+from .controller import ControllerBank, InputMode, build_controller_loss, gumbel_noise
 from .corpus import Example, tokenize_example
 from .metrics import rouge_l_text
 from .model import DecoderModel, build_graph_forward, graph_leaves
@@ -137,7 +133,6 @@ def _target_weights(num_inputs: int, prompt_len: int) -> np.ndarray:
 def sequence_loss_and_grads(
     model: DecoderModel,
     example: Example,
-    trainable: bool = True,
     skip_layers: set[int] | None = None,
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Prompt-masked next-token cross-entropy (nats per label token) for one
@@ -148,17 +143,13 @@ def sequence_loss_and_grads(
     weights = _target_weights(len(inputs), tok.prompt_len)
 
     g = Graph()
-    leaves = graph_leaves(g, model.params, trainable=trainable)
+    leaves = graph_leaves(g, model.params)
     logits = build_graph_forward(g, leaves, model.cfg, inputs, skip_layers=skip_layers)
     logp = g.log_softmax(logits)
     picked = g.take_per_row(logp, targets)
     loss = g.scale(g.reduce_sum(g.multiply(picked, g.leaf(weights))), -1.0)
-    if trainable:
-        backpropagate(g, loss)
-        grads = {name: leaves[name].grad for name in model.params}
-    else:
-        grads = {}
-    return loss.item(), grads
+    backpropagate(g, loss)
+    return loss.item(), {name: leaves[name].grad for name in model.params}
 
 
 def _rouge_eval(
@@ -297,8 +288,6 @@ def build_controller_sequence_graph(
     alpha: float,
     gumbel_rng: np.random.Generator,
     freeze_backbone: bool,
-    reverse_kl: bool = False,
-    soft_gates: bool = False,
 ):
     """Tape for one sequence of the cost-regularized loss: gated forward, KL
     against the frozen teacher's full-execution distributions, plus the
@@ -325,8 +314,6 @@ def build_controller_sequence_graph(
     prompt_leaf = g.leaf(prompt_pos)
     ones_input = g.leaf(np.ones((t, model.cfg.hidden_dim)))
 
-    from .controller import InputMode  # local import to avoid cycle at module load
-
     def gates(layer: int, h_prev):
         if layer not in controlled:
             return None
@@ -338,7 +325,7 @@ def build_controller_sequence_graph(
         noise = g.leaf(gumbel_noise(gumbel_rng, (t, 2)))
         surrogate = g.softmax(g.scale(g.add(logits, noise), 1.0 / bank.gumbel.temperature))
         exec_col = g.reshape(g.slice(surrogate, (np.s_[0:t], np.s_[1:2])), (t,))
-        if soft_gates or not bank.gumbel.hard_forward:
+        if not bank.gumbel.hard_forward:
             gate = exec_col
             realized[:, layer - 1] = exec_col.data
         else:
@@ -349,7 +336,7 @@ def build_controller_sequence_graph(
         return g.add(g.multiply(gate, label_leaf), prompt_leaf)
 
     logits = build_graph_forward(g, backbone_leaves, model.cfg, inputs, layer_gates=gates)
-    loss = build_controller_loss(g, logits, teacher_lp, gate_nodes, alpha, weights, reverse_kl=reverse_kl)
+    loss = build_controller_loss(g, logits, teacher_lp, gate_nodes, alpha, weights)
     leaves = {**backbone_leaves, **ctrl_leaves}
     return g, loss, leaves, realized, tok.prompt_len
 
@@ -362,12 +349,11 @@ def controller_sequence_loss(
     alpha: float,
     gumbel_rng: np.random.Generator,
     freeze_backbone: bool,
-    reverse_kl: bool = False,
 ) -> tuple[float, dict[str, np.ndarray], float]:
     """Loss, gradients, and mean realized cost per label token for one
     sequence."""
     g, loss, leaves, realized, prompt_len = build_controller_sequence_graph(
-        model, bank, teacher, example, alpha, gumbel_rng, freeze_backbone, reverse_kl
+        model, bank, teacher, example, alpha, gumbel_rng, freeze_backbone
     )
     backpropagate(g, loss)
     grads: dict[str, np.ndarray] = {name: leaves[name].grad for name in bank.params}
@@ -386,7 +372,6 @@ def train_controllers(
     val_examples: Sequence[Example],
     cfg: TrainConfig,
     alpha: float,
-    reverse_kl: bool = False,
 ) -> ControllerTrainResult:
     """Optimize the gate controllers (and, unless frozen, the backbone) under
     the cost-regularized distillation loss at one alpha. The distillation
@@ -426,7 +411,7 @@ def train_controllers(
             batch_cost = 0.0
             for ex in batch:
                 loss, grads, cost = controller_sequence_loss(
-                    model, bank, teacher, ex, alpha, gumbel_rng, cfg.freeze_backbone, reverse_kl
+                    model, bank, teacher, ex, alpha, gumbel_rng, cfg.freeze_backbone
                 )
                 if not math.isfinite(loss):
                     raise TrainingDiverged(step, loss)
