@@ -1,7 +1,9 @@
 """Dense float64 tensors on an operation tape with reverse-mode
 differentiation. Just enough machinery for a toy decoder transformer and
 linear gate controllers: strict shapes, no implicit broadcasting, explicit
-ops for the few structured patterns (bias add, per-row scaling)."""
+ops for the few structured patterns (bias add, per-row scaling), and one
+fused op for a whole transformer block, whose forward kernel the numpy model
+shares."""
 
 from __future__ import annotations
 
@@ -52,10 +54,6 @@ class Node:
     attrs: dict = field(default_factory=dict)
 
 
-def _f64(value) -> np.ndarray:
-    return np.array(value, dtype=np.float64, order="C")
-
-
 class Graph:
     """Topologically ordered tape of operations.
 
@@ -78,7 +76,12 @@ class Graph:
         return out
 
     def leaf(self, value, requires_grad: bool = False) -> Tensor:
-        out = Tensor(_f64(value), requires_grad=requires_grad, node_id=len(self.nodes))
+        """A constant or parameter node. A C-ordered float64 array is held
+        as it is, not copied, so it must not be mutated while the graph is
+        in use (`AdamW` replaces parameter arrays and never writes into
+        them)."""
+        data = np.asarray(value, dtype=np.float64, order="C")
+        out = Tensor(data, requires_grad=requires_grad, node_id=len(self.nodes))
         self.nodes.append(Node("leaf", (), out))
         return out
 
@@ -130,10 +133,6 @@ class Graph:
     def log_softmax(self, x: Tensor) -> Tensor:
         return self._record("log_softmax", (x,), _log_softmax_forward(x.data))
 
-    def gelu(self, x: Tensor) -> Tensor:
-        cdf_term = 0.5 * (1.0 + erf(x.data * _INV_SQRT2))
-        return self._record("gelu", (x,), x.data * cdf_term, {"cdf": cdf_term})
-
     def embedding(self, table: Tensor, ids: Sequence[int]) -> Tensor:
         if table.data.ndim != 2:
             raise ShapeError("embedding", f"table must be 2-d, got {table.shape}")
@@ -167,24 +166,26 @@ class Graph:
 
     def straight_through(self, soft: Tensor, hard_values) -> Tensor:
         """Forward the (constant) hard values, route the gradient to `soft`."""
-        hard = _f64(hard_values)
+        hard = np.array(hard_values, dtype=np.float64)
         if hard.shape != soft.shape:
             raise ShapeError("straight_through", f"hard {hard.shape} vs soft {soft.shape}")
         return self._record("straight_through", (soft,), hard.copy(), {"hard": hard})
 
-    def causal_attention(self, q: Tensor, k: Tensor, v: Tensor, num_heads: int) -> Tensor:
-        """Fused multi-head causal attention over a full sequence: one node
-        instead of a per-head op chain. q/k/v are (T, d) with d divisible by
-        num_heads."""
-        if q.shape != k.shape or q.shape != v.shape or q.data.ndim != 2:
-            raise ShapeError("causal_attention", f"q/k/v must share a (t,d) shape, got {q.shape}/{k.shape}/{v.shape}")
-        if q.shape[1] % num_heads != 0:
-            raise ShapeError("causal_attention", f"dim {q.shape[1]} not divisible by {num_heads} heads")
-        weights = _attention_weights(q.data, k.data, num_heads)
-        out = _attention_apply(weights, v.data)
-        return self._record(
-            "causal_attention", (q, k, v), out, {"num_heads": num_heads, "weights": weights}
-        )
+    def block(self, h: Tensor, layer_params: Sequence[Tensor], num_heads: int, eps: float) -> Tensor:
+        """One transformer block (`_block_forward`) on the rows h (T, d) as
+        one node. `layer_params` are the layer's tensors in `BLOCK_PARAMS`
+        order; the node keeps the intermediates its VJP reads."""
+        if h.data.ndim != 2 or h.shape[1] % num_heads != 0:
+            raise ShapeError("block", f"needs a (t,d) input with d divisible by {num_heads} heads, got {h.shape}")
+        if len(layer_params) != len(BLOCK_PARAMS):
+            raise ShapeError("block", f"needs {len(BLOCK_PARAMS)} parameters, got {len(layer_params)}")
+        shapes = block_param_shapes(h.shape[1], layer_params[BLOCK_PARAMS.index("w1")].shape[-1])
+        for name, param in zip(BLOCK_PARAMS, layer_params):
+            if param.shape != shapes[name]:
+                raise ShapeError("block", f"{name} must be {shapes[name]}, got {param.shape}")
+        keep = {"num_heads": num_heads, "eps": float(eps)}
+        out = _block_forward(h.data, [p.data for p in layer_params], num_heads, eps, keep=keep)
+        return self._record("block", (h, *layer_params), out, keep)
 
 
 # ---------------------------------------------------------------------------
@@ -203,18 +204,20 @@ def _log_softmax_forward(x: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
-def _gelu_forward(x: np.ndarray) -> np.ndarray:
-    return 0.5 * x * (1.0 + erf(x * _INV_SQRT2))
-
-
-def _layer_norm_forward(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float) -> np.ndarray:
-    # sum / d is bit-identical to mean and skips numpy's Python-level mean
-    # wrapper, which dominates on the single rows of a decode step.
+def _layer_norm_stats(x: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """Normalised rows of x and their inverse standard deviations, (T, 1).
+    sum / d is bit-identical to mean and skips numpy's Python-level mean
+    wrapper, which dominates on the single rows of a decode step."""
     d = x.shape[-1]
     mu = x.sum(axis=-1, keepdims=True) / d
     xc = x - mu
     var = (xc * xc).sum(axis=-1, keepdims=True) / d
-    return xc / np.sqrt(var + eps) * gain + bias
+    inv = 1.0 / np.sqrt(var + eps)
+    return xc * inv, inv
+
+
+def _layer_norm_forward(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float) -> np.ndarray:
+    return _layer_norm_stats(x, eps)[0] * gain + bias
 
 
 def _heads(x: np.ndarray, num_heads: int) -> np.ndarray:
@@ -230,35 +233,112 @@ def _merge_heads(x: np.ndarray) -> np.ndarray:
 def _attention_weights(q: np.ndarray, k: np.ndarray, num_heads: int) -> np.ndarray:
     """(H, Tq, Tk) causal softmax weights for q (Tq, d) against k (Tk, d),
     Tq <= Tk: query row i sits at position Tk - Tq + i and attends to keys
-    0..Tk - Tq + i. The one attention kernel of the package: the tape op, the
-    whole-sequence forward and the incremental decode step all use it.
+    0..Tk - Tq + i. The one attention kernel of the package, called by
+    `_block_forward` once per query row block.
 
-    Works in one score buffer: scale, mask, shift, exp and normalise in
-    place, with `exp` only over the attended keys (exp of the masked -inf
-    half takes numpy's slow underflow path)."""
+    Works in one score buffer: scale, shift, exp and normalise in place. A
+    single row (a decode step) sees every key and takes no mask. Otherwise
+    the future half is masked and `exp` runs only over the attended keys
+    (exp of the masked -inf half takes numpy's slow underflow path)."""
     tq, tk = q.shape[0], k.shape[0]
     w = _heads(q, num_heads) @ _heads(k, num_heads).transpose(0, 2, 1)
     w /= math.sqrt(q.shape[1] // num_heads)
-    past = np.tri(tq, tk, tk - tq, dtype=bool)
-    future = ~past
-    np.copyto(w, -np.inf, where=future)
-    w -= w.max(axis=-1, keepdims=True)
-    np.exp(w, out=w, where=past)
-    np.copyto(w, 0.0, where=future)
+    if tq == 1:
+        w -= w.max(axis=-1, keepdims=True)
+        np.exp(w, out=w)
+    else:
+        past = np.tri(tq, tk, tk - tq, dtype=bool)
+        future = ~past
+        np.copyto(w, -np.inf, where=future)
+        w -= w.max(axis=-1, keepdims=True)
+        np.exp(w, out=w, where=past)
+        np.copyto(w, 0.0, where=future)
     w /= w.sum(axis=-1, keepdims=True)
     return w
 
 
-def _attention_apply(weights: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """(Tq, d) attention output from (H, Tq, Tk) weights and v (Tk, d)."""
-    return _merge_heads(weights @ _heads(v, weights.shape[0]))
+# One block's parameters, in the order `_block_forward` and `Graph.block`
+# take them and `model.param_shapes` lists them.
+BLOCK_PARAMS = (
+    "ln1.gain", "ln1.bias", "wq", "wk", "wv", "wo", "bq", "bk", "bv", "bo",
+    "ln2.gain", "ln2.bias", "w1", "b1", "w2", "b2",
+)
+
+# `_block_forward` attends in query row blocks of _ROW_BLOCK rows, so a
+# forward without the tape builds no (H, T, T) array and never computes the
+# upper triangle. Measured on the default model's one-pass prefill, one BLAS
+# thread, 2 vCPUs: blocks of 24 to 64 rows time alike, and one whole block is
+# 20-25% slower at T = 200-240.
+_ROW_BLOCK = 32
 
 
-def _vjp_causal_attention(g, ins, out, at):
-    q, k, v = ins
-    num_heads = at["num_heads"]
+def block_param_shapes(dim: int, ffn_dim: int) -> dict[str, tuple[int, ...]]:
+    """Shape of each block parameter, in `BLOCK_PARAMS` order."""
+    shapes = {name: (dim,) for name in BLOCK_PARAMS}
+    shapes.update(wq=(dim, dim), wk=(dim, dim), wv=(dim, dim), wo=(dim, dim))
+    shapes.update(w1=(dim, ffn_dim), b1=(ffn_dim,), w2=(ffn_dim, dim))
+    return shapes
+
+
+def _block_forward(
+    h: np.ndarray,
+    params: Sequence[np.ndarray],
+    num_heads: int,
+    eps: float,
+    kv: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None,
+    keep: dict | None = None,
+) -> np.ndarray:
+    """One pre-norm transformer block on the rows h (T, d): LN1, q/k/v,
+    causal multi-head attention, wo, then LN2 and a GELU MLP, both with
+    residuals. `params` are the layer's arrays in `BLOCK_PARAMS` order. The
+    only copy of the block: the model's decode, prefill and whole-sequence
+    forward and the tape's `block` node all call it.
+
+    Without `kv` the rows attend causally among themselves. With it they are
+    the last T of Tk positions: `kv(k, v)` receives the rows' keys and values
+    and returns the (Tk, d) keys and values to attend over (a cache appends
+    them and returns its rows). Queries attend in blocks of `_ROW_BLOCK` rows,
+    each against the keys up to its last row. `keep`, when given, receives
+    the intermediates the tape's VJP reads, the (H, T, Tk) weights among
+    them."""
+    g1, c1, wq, wk, wv, wo, bq, bk, bv, bo, g2, c2, w1, b1, w2, b2 = params
+    xhat, inv = _layer_norm_stats(h, eps)
+    x = xhat * g1 + c1
+    q = x @ wq + bq
+    k = x @ wk + bk
+    v = x @ wv + bv
+    keys, values = (k, v) if kv is None else kv(k, v)
+    # Query rows [a, b) sit at positions off + a .. off + b - 1 and see
+    # keys[:off + b]; each block's weights go straight into its rows of the
+    # (T, H, d_h) output.
+    t = h.shape[0]
+    off = keys.shape[0] - t
+    vh = _heads(values, num_heads)
+    attn = np.empty((t, num_heads, vh.shape[2]))
+    weights = None if keep is None else np.zeros((num_heads, t, keys.shape[0]))
+    for a in range(0, t, _ROW_BLOCK):
+        b = min(a + _ROW_BLOCK, t)
+        w = _attention_weights(q[a:b], keys[: off + b], num_heads)
+        np.matmul(w, vh[:, : off + b], out=attn[a:b].transpose(1, 0, 2))
+        if weights is not None:
+            weights[:, a:b, : off + b] = w
+    attn = attn.reshape(t, -1)
+    mid = h + attn @ wo + bo
+    xhat2, inv2 = _layer_norm_stats(mid, eps)
+    x2 = xhat2 * g2 + c2
+    u = x2 @ w1 + b1
+    cdf = 0.5 * (1.0 + erf(u * _INV_SQRT2))
+    act = u * cdf
+    if keep is not None:
+        keep.update(xhat=xhat, inv=inv, x=x, q=q, k=k, v=v, weights=weights, attn=attn)
+        keep.update(xhat2=xhat2, inv2=inv2, x2=x2, u=u, cdf=cdf, act=act)
+    return mid + act @ w2 + b2
+
+
+def _vjp_causal_attention(g, q, k, v, out, weights, num_heads):
+    """Gradients of q, k and v (T, d) of causal attention, given the
+    gradient g of its output `out` (T, d) and its (H, T, T) `weights`."""
     qh, kh, vh, gh = (_heads(x, num_heads) for x in (q, k, v, g))
-    weights = at["weights"]
     # The score gradient w * (g_w - sum_j w_ij g_w_ij) is built in place in
     # the g_w buffer. The row sum equals g_i . out_i (out = w v), which costs
     # (H, T, d_h) instead of another (H, T, T) product.
@@ -269,7 +349,7 @@ def _vjp_causal_attention(g, ins, out, at):
     gq = g_scores @ kh
     gk = g_scores.transpose(0, 2, 1) @ qh
     gv = weights.transpose(0, 2, 1) @ gh
-    return [_merge_heads(gq), _merge_heads(gk), _merge_heads(gv)]
+    return _merge_heads(gq), _merge_heads(gk), _merge_heads(gv)
 
 
 # ---------------------------------------------------------------------------
@@ -277,21 +357,20 @@ def _vjp_causal_attention(g, ins, out, at):
 # ---------------------------------------------------------------------------
 
 
-def _vjp_layer_norm(g, ins, out, at):
-    x, gain, _bias = ins
-    eps = at["eps"]
-    # sum / d: bit-identical to mean, as in `_layer_norm_forward`.
-    d = x.shape[-1]
-    mu = x.sum(axis=-1, keepdims=True) / d
-    xc = x - mu
-    var = (xc * xc).sum(axis=-1, keepdims=True) / d
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv
+def _layer_norm_backward(g, xhat, inv, gain):
+    """Gradients of x, gain and bias of a layer norm, from the forward's
+    `_layer_norm_stats`."""
+    d = xhat.shape[-1]
     gxhat = g * gain
     mean_g = gxhat.sum(axis=-1, keepdims=True) / d
     mean_gx = (gxhat * xhat).sum(axis=-1, keepdims=True) / d
     gx = inv * (gxhat - mean_g - xhat * mean_gx)
     return [gx, (g * xhat).sum(axis=0), g.sum(axis=0)]
+
+
+def _vjp_layer_norm(g, ins, out, at):
+    x, gain, _bias = ins
+    return _layer_norm_backward(g, *_layer_norm_stats(x, at["eps"]), gain)
 
 
 def _vjp_softmax(g, ins, out, at):
@@ -302,10 +381,24 @@ def _vjp_log_softmax(g, ins, out, at):
     return [g - np.exp(out) * g.sum(axis=-1, keepdims=True)]
 
 
-def _vjp_gelu(g, ins, out, at):
-    x = ins[0]
-    phi = np.exp(-0.5 * x * x) * _INV_SQRT2PI
-    return [g * (at["cdf"] + x * phi)]
+def _vjp_block(g, ins, out, at):
+    """`_block_forward` backwards from the kept intermediates: the MLP with
+    the GELU derivative, LN2, wo, attention, the q/k/v projections and LN1,
+    each residual adding its incoming gradient."""
+    g1, _c1, wq, wk, wv, wo, _bq, _bk, _bv, _bo, g2, _c2, w1, _b1, w2, _b2 = ins[1:]
+    x, u, x2, attn = at["x"], at["u"], at["x2"], at["attn"]
+    gu = g @ w2.T
+    gu *= at["cdf"] + u * np.exp(-0.5 * u * u) * _INV_SQRT2PI
+    gmid, gg2, gc2 = _layer_norm_backward(gu @ w1.T, at["xhat2"], at["inv2"], g2)
+    gmid += g
+    gq, gk, gv = _vjp_causal_attention(gmid @ wo.T, at["q"], at["k"], at["v"], attn, at["weights"], at["num_heads"])
+    gh, gg1, gc1 = _layer_norm_backward(gq @ wq.T + gk @ wk.T + gv @ wv.T, at["xhat"], at["inv"], g1)
+    gh += gmid
+    return [
+        gh, gg1, gc1, x.T @ gq, x.T @ gk, x.T @ gv, attn.T @ gmid,
+        gq.sum(axis=0), gk.sum(axis=0), gv.sum(axis=0), gmid.sum(axis=0),
+        gg2, gc2, x2.T @ gu, gu.sum(axis=0), at["act"].T @ g, g.sum(axis=0),
+    ]
 
 
 def _vjp_embedding(g, ins, out, at):
@@ -341,10 +434,9 @@ _VJP: dict[str, Callable] = {
     "add_bias": lambda g, ins, out, at: [g, g.sum(axis=0)],
     "scale_rows": lambda g, ins, out, at: [g * ins[1][:, None], (g * ins[0]).sum(axis=1)],
     "layer_norm": _vjp_layer_norm,
-    "causal_attention": _vjp_causal_attention,
+    "block": _vjp_block,
     "softmax": _vjp_softmax,
     "log_softmax": _vjp_log_softmax,
-    "gelu": _vjp_gelu,
     "embedding": _vjp_embedding,
     "slice": _vjp_slice,
     "reshape": lambda g, ins, out, at: [g.reshape(ins[0].shape).copy()],
@@ -403,30 +495,38 @@ def gradient_check(
     grads: dict[str, np.ndarray],
     step: float = 1e-6,
 ) -> float:
-    """Worst relative error of the analytic `grads` (one per name in
-    `values`) against central finite differences of `loss_at` around
-    `values`.
+    """Worst error of the analytic `grads` (one per name in `values`)
+    against central finite differences of `loss_at` around `values`. Each
+    array is measured against an absolute-plus-relative scale:
+    max |analytic - numeric| / (max |numeric| + 1e-2 * M), where M is the
+    largest numeric entry over all arrays.
 
-    Relative error per element is |analytic - numeric| divided by
-    max(|analytic|, |numeric|, 1e-8). `loss_at` is called with a copy of
-    `values` in which one element of one array is moved by +-step.
+    An elementwise relative error would be set by the smallest entries,
+    whose differences are mostly roundoff; this bound holds every entry to
+    its array's largest, so a wrong VJP term shows in proportion to its share
+    of the gradient. The roundoff grows with the loss, as M does, and the
+    absolute part judges an array whose gradient is all but zero (a bias the
+    loss is invariant to) by that noise floor. `loss_at` is called with a copy
+    of `values` in which one element of one array is moved by +-step.
     """
     base = loss_at(values)
     if not math.isfinite(base):
         raise NonFiniteError(f"gradient_check: loss is {base} at the given values")
-    worst = 0.0
+    numeric: dict[str, np.ndarray] = {}
     for name, value in values.items():
-        grad = grads[name]
-        if grad.shape != value.shape:
-            raise ShapeError("gradient_check", f"grad {name!r} has shape {grad.shape}, value {value.shape}")
-        numeric = np.zeros(value.size)
+        if grads[name].shape != value.shape:
+            raise ShapeError("gradient_check", f"grad {name!r} has shape {grads[name].shape}, value {value.shape}")
+        diff = np.zeros(value.size)
         for k in range(value.size):
             for sign in (+1.0, -1.0):
                 probe = value.astype(np.float64)
                 probe.reshape(-1)[k] += sign * step
-                numeric[k] += sign * loss_at({**values, name: probe})
-        numeric = numeric.reshape(value.shape) / (2.0 * step)
-        denom = np.maximum(np.maximum(np.abs(grad), np.abs(numeric)), 1e-8)
-        if value.size:
-            worst = max(worst, float((np.abs(grad - numeric) / denom).max()))
+                diff[k] += sign * loss_at({**values, name: probe})
+        numeric[name] = diff.reshape(value.shape) / (2.0 * step)
+    peak = max((float(np.abs(n).max()) for n in numeric.values() if n.size), default=0.0)
+    worst = 0.0
+    for name, n in numeric.items():
+        if n.size:
+            scale = max(float(np.abs(n).max()) + 1e-2 * peak, np.finfo(np.float64).tiny)
+            worst = max(worst, float(np.abs(grads[name] - n).max()) / scale)
     return worst

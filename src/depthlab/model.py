@@ -8,17 +8,18 @@ deferred, to be filled later by projecting the position's incoming hidden
 state through this layer's own attention input path.
 
 Where things live:
-- the block is `DecoderModel._block`: LN1 once, then q, k and v from it. It
-  runs on the last rows of the attended positions; the whole-sequence
-  `forward_hidden` attends over its own k/v, while the cached `step` (one row)
-  and `routed_forward` (the uncached suffix, T rows in one pass) append their
-  k/v to the cache first and attend over the cache's rows. It attends in
-  query row blocks of `_ROW_BLOCK` rows, each block against the keys up to
-  its last row, so no (H, T, T) weight array is built;
+- the block is `autodiff._block_forward`, written once: LN1, q/k/v, causal
+  attention in query row blocks of `autodiff._ROW_BLOCK` rows (each block
+  against the keys up to its last row, so no (H, T, T) array is built), wo,
+  LN2 and the GELU MLP. `DecoderModel._block` calls it for every numpy
+  forward: the whole-sequence `forward_hidden` attends over the rows' own
+  k/v, while the cached `step` (one row) and `routed_forward` (the uncached
+  suffix, T rows in one pass) append their k/v to the cache first and attend
+  over the cache's rows. The tape forward `build_graph_forward` records each
+  executed layer as one `Graph.block` node on the same function, which keeps
+  the intermediates and the (H, T, T) weights its VJP reads;
 - the scores and the causal softmax are `autodiff._attention_weights`, one
-  in-place score buffer per call, shared with the tape's `causal_attention`
-  op that `build_graph_forward` records for training. The tape keeps the
-  whole (H, T, T) weights of a sequence for its VJP;
+  in-place score buffer per query row block;
 - the fill rule is `DecoderModel._kv_for_state`: K/V of a layer always derive
   from the position's incoming hidden state, so `forward_hidden` under gate
   bits reproduces what `step` writes and later fills.
@@ -42,13 +43,13 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .autodiff import (
+    BLOCK_PARAMS,
     Graph,
     Tensor,
-    _attention_weights,
-    _gelu_forward,
-    _heads,
+    _block_forward,
     _layer_norm_forward,
     _softmax_forward,
+    block_param_shapes,
 )
 from .routing import RouteMask, RoutePlan, full_mask
 from . import tokenizer
@@ -59,12 +60,6 @@ PROV_FILLED = 2
 
 # gate_fn(layer, incoming_hidden_row) -> execute bit
 GateFn = Callable[[int, np.ndarray], int]
-
-# `_block` attends in query row blocks of _ROW_BLOCK rows, so no (H, T, T)
-# array is built and the upper triangle is never computed. Measured on the
-# default model's one-pass prefill, one BLAS thread, 2 vCPUs: blocks of 24 to
-# 64 rows time alike, and one whole block is 20-25% slower at T = 200-240.
-_ROW_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -97,20 +92,9 @@ def param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
         "head.w": (cfg.hidden_dim, cfg.vocab_size),
         "head.b": (cfg.vocab_size,),
     }
+    block = block_param_shapes(cfg.hidden_dim, cfg.ffn_dim)
     for l in range(1, cfg.num_layers + 1):
-        p = f"layer{l}."
-        shapes[p + "ln1.gain"] = (cfg.hidden_dim,)
-        shapes[p + "ln1.bias"] = (cfg.hidden_dim,)
-        for w in ("wq", "wk", "wv", "wo"):
-            shapes[p + w] = (cfg.hidden_dim, cfg.hidden_dim)
-        for b in ("bq", "bk", "bv", "bo"):
-            shapes[p + b] = (cfg.hidden_dim,)
-        shapes[p + "ln2.gain"] = (cfg.hidden_dim,)
-        shapes[p + "ln2.bias"] = (cfg.hidden_dim,)
-        shapes[p + "w1"] = (cfg.hidden_dim, cfg.ffn_dim)
-        shapes[p + "b1"] = (cfg.ffn_dim,)
-        shapes[p + "w2"] = (cfg.ffn_dim, cfg.hidden_dim)
-        shapes[p + "b2"] = (cfg.hidden_dim,)
+        shapes.update((f"layer{l}.{name}", shape) for name, shape in block.items())
     return shapes
 
 
@@ -300,27 +284,11 @@ class DecoderModel:
         positions: their k/v are appended to the cache and they attend over
         every cached row of the layer, which must all be readable."""
         p = f"layer{layer}."
-        prm = self.params
-        x = self._ln(h, p + "ln1")
-        q = x @ prm[p + "wq"] + prm[p + "bq"]
-        keys = x @ prm[p + "wk"] + prm[p + "bk"]
-        values = x @ prm[p + "wv"] + prm[p + "bv"]
+        params = [self.params[p + name] for name in BLOCK_PARAMS]
+        kv = None
         if cache is not None:
-            keys, values = cache.kv_matrices(layer, cache.append_computed(layer, keys, values))
-        # Query rows [a, b) sit at positions off + a .. off + b - 1 and see
-        # keys[:off + b]; each block's weights go straight into its rows of
-        # the (T, H, d_h) output.
-        t, heads = h.shape[0], self.cfg.num_heads
-        off = keys.shape[0] - t
-        vh = _heads(values, heads)
-        attn = np.empty((t, heads, vh.shape[2]))
-        for a in range(0, t, _ROW_BLOCK):
-            b = min(a + _ROW_BLOCK, t)
-            w = _attention_weights(q[a:b], keys[: off + b], heads)
-            np.matmul(w, vh[:, : off + b], out=attn[a:b].transpose(1, 0, 2))
-        h = h + attn.reshape(t, -1) @ prm[p + "wo"] + prm[p + "bo"]
-        x2 = self._ln(h, p + "ln2")
-        return h + _gelu_forward(x2 @ prm[p + "w1"] + prm[p + "b1"]) @ prm[p + "w2"] + prm[p + "b2"]
+            kv = lambda k, v: cache.kv_matrices(layer, cache.append_computed(layer, k, v))
+        return _block_forward(h, params, self.cfg.num_heads, self.cfg.layer_norm_eps, kv)
 
     # -- cached routed forward ------------------------------------------------
 
@@ -542,19 +510,7 @@ def build_graph_forward(
         if skip_layers and l in skip_layers:
             continue
         p = f"layer{l}."
-        x = g.layer_norm(h, leaves[p + "ln1.gain"], leaves[p + "ln1.bias"], eps)
-        q = g.add_bias(g.matmul(x, leaves[p + "wq"]), leaves[p + "bq"])
-        k = g.add_bias(g.matmul(x, leaves[p + "wk"]), leaves[p + "bk"])
-        v = g.add_bias(g.matmul(x, leaves[p + "wv"]), leaves[p + "bv"])
-        attn = g.causal_attention(q, k, v, cfg.num_heads)
-        out = g.add(h, g.add_bias(g.matmul(attn, leaves[p + "wo"]), leaves[p + "bo"]))
-        x2 = g.layer_norm(out, leaves[p + "ln2.gain"], leaves[p + "ln2.bias"], eps)
-        mlp = g.add_bias(
-            g.matmul(g.gelu(g.add_bias(g.matmul(x2, leaves[p + "w1"]), leaves[p + "b1"])), leaves[p + "w2"]),
-            leaves[p + "b2"],
-        )
-        out = g.add(out, mlp)
-
+        out = g.block(h, [leaves[p + name] for name in BLOCK_PARAMS], cfg.num_heads, eps)
         gate = layer_gates(l, h) if layer_gates is not None else None
         if gate is None:
             h = out

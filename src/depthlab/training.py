@@ -107,7 +107,6 @@ class TrainResult:
     best_params: dict[str, np.ndarray]
     best_metric: float
     log: list[LogRow] = field(default_factory=list)
-    steps_run: int = 0
 
 
 def write_log_csv(log: Sequence[LogRow], path: str | Path) -> None:
@@ -262,7 +261,7 @@ def finetune(
             break
 
     model.params = best_params
-    return TrainResult(best_params=best_params, best_metric=best_metric, log=log, steps_run=step)
+    return TrainResult(best_params=best_params, best_metric=best_metric, log=log)
 
 
 def draw_layerdrop(rng: np.random.Generator, droppable: Sequence[int], prob: float) -> set[int]:
@@ -273,11 +272,8 @@ def draw_layerdrop(rng: np.random.Generator, droppable: Sequence[int], prob: flo
 
 @dataclass
 class ControllerTrainResult:
-    controller_params: dict[str, np.ndarray]
-    backbone_params: dict[str, np.ndarray]
     best_metric: float
     log: list[LogRow] = field(default_factory=list)
-    steps_run: int = 0
 
 
 def build_controller_sequence_graph(
@@ -451,10 +447,4 @@ def train_controllers(
 
     bank.params = best_ctrl
     model.params = best_backbone
-    return ControllerTrainResult(
-        controller_params=best_ctrl,
-        backbone_params=best_backbone,
-        best_metric=best_metric,
-        log=log,
-        steps_run=step,
-    )
+    return ControllerTrainResult(best_metric=best_metric, log=log)

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from depthlab import autodiff
 from depthlab.autodiff import (
     _VJP,
+    BLOCK_PARAMS,
     Graph,
     NonFiniteError,
     ShapeError,
@@ -136,10 +138,13 @@ def _op_case(op, values, build, tolerance=1e-6):
     return pytest.param(values, build, tolerance, id=op)
 
 
-def _attention_case(t, tolerance):
-    values = _normal(t, q=(t, 4), k=(t, 4), v=(t, 4))
-    build = lambda g, x: g.causal_attention(x["q"], x["k"], x["v"], num_heads=2)
-    return pytest.param(values, build, tolerance, id=f"causal_attention-T{t}")
+def _block_case(t):
+    """A block of width 4 with 2 heads and an MLP of width 6 on t rows; at
+    t = 33 the forward attends in two row blocks."""
+    shapes = {"h": (t, 4), **autodiff.block_param_shapes(4, 6)}
+    values = _normal(t, **shapes)
+    build = lambda g, x: g.block(x["h"], [x[name] for name in BLOCK_PARAMS], num_heads=2, eps=1e-5)
+    return pytest.param(values, build, 1e-6, id=f"block-T{t}")
 
 
 # One finite-difference check per tape op, named by the op; straight_through
@@ -159,18 +164,14 @@ OP_CASES = [
     ),
     _op_case("softmax", _normal(8, x=(3, 4)), lambda g, x: g.softmax(x["x"])),
     _op_case("log_softmax", _normal(9, x=(3, 4)), lambda g, x: g.log_softmax(x["x"])),
-    _op_case("gelu", _normal(10, x=(3, 4)), lambda g, x: g.gelu(x["x"])),
     _op_case("embedding", _normal(11, table=(7, 4)), lambda g, x: g.embedding(x["table"], [1, 3, 3, 6])),
     _op_case("slice", _normal(12, x=(3, 4)), lambda g, x: g.slice(x["x"], (np.s_[1:3], np.s_[0:2]))),
     _op_case("reshape", _normal(13, x=(3, 4)), lambda g, x: g.reshape(x["x"], (6, 2))),
     _op_case("reduce_sum", _normal(14, x=(3, 4)), lambda g, x: g.reduce_sum(x["x"], axis=1)),
     _op_case("take_per_row", _normal(15, x=(4, 4)), lambda g, x: g.take_per_row(x["x"], [0, 2, 1, 3])),
-    _attention_case(1, 1e-6),
-    _attention_case(5, 1e-6),
-    # At T=33 the loss sums 132 terms, so the difference quotient carries
-    # ~1e-9 of roundoff, and the smallest gradient entries (~1e-6) reach
-    # relative errors up to ~3e-4 on some draws; a wrong VJP term errs by O(1).
-    _attention_case(33, 1e-3),
+    _block_case(1),
+    _block_case(5),
+    _block_case(33),
 ]
 
 
@@ -184,12 +185,23 @@ def test_every_op_has_a_finite_difference_check():
     assert set(_VJP) == checked | {"straight_through"}
 
 
+def test_gradient_check_rejects_a_vjp_term_off_by_one_percent(monkeypatch):
+    # The attention VJP reads the output only in its row-sum term; feeding
+    # it 1.01 * out makes that one term 1% too large inside the T=33 block.
+    real = autodiff._vjp_causal_attention
+    monkeypatch.setattr(
+        autodiff, "_vjp_causal_attention", lambda g, q, k, v, out, w, heads: real(g, q, k, v, 1.01 * out, w, heads)
+    )
+    values, build, tolerance = _block_case(33).values
+    assert tape_gradient_error(build, values) > 100 * tolerance
+
+
 def test_three_layer_mlp_matches_finite_differences():
     x = np.random.default_rng(16).normal(size=(4, 5))
 
     def mlp_loss(g, p):
-        h = g.gelu(g.add_bias(g.matmul(g.leaf(x), p["w1"]), p["b1"]))
-        h = g.gelu(g.add_bias(g.matmul(h, p["w2"]), p["b2"]))
+        h = g.softmax(g.add_bias(g.matmul(g.leaf(x), p["w1"]), p["b1"]))
+        h = g.softmax(g.add_bias(g.matmul(h, p["w2"]), p["b2"]))
         out = g.matmul(h, p["w3"])
         return g.scale(g.reduce_sum(g.multiply(out, out)), 1.0 / out.data.size)
 

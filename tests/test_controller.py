@@ -102,7 +102,7 @@ def _soft_gate_loss(g, p, h, noise, teacher_lp):
     logits_gate = g.add_bias(g.matmul(h, p["w_gate"]), p["b_gate"])
     surrogate = g.softmax(g.scale(g.add(logits_gate, g.leaf(noise)), 1.0 / 0.8))
     gate = g.reshape(g.slice(surrogate, (np.s_[0:t], np.s_[1:2])), (t,))
-    blended = g.add(g.scale_rows(g.gelu(h), gate), g.scale_rows(h, g.add(g.leaf(np.ones(t)), g.scale(gate, -1.0))))
+    blended = g.add(g.scale_rows(g.softmax(h), gate), g.scale_rows(h, g.add(g.leaf(np.ones(t)), g.scale(gate, -1.0))))
     logits = g.matmul(blended, p["w_out"])
     weights = np.array([0.0, 0.5, 0.5])
     return build_controller_loss(g, logits, teacher_lp, [gate], alpha=1.5, token_weights=weights)

@@ -1,7 +1,12 @@
+from collections import Counter
+
 import numpy as np
 import pytest
+from scipy.special import erf
 
-from depthlab.autodiff import Graph, _gelu_forward, backpropagate
+from depthlab.autodiff import BLOCK_PARAMS, Graph, backpropagate
+from depthlab.corpus import Example
+from depthlab import training
 from depthlab.model import (
     PROV_ABSENT,
     PROV_COMPUTED,
@@ -339,11 +344,11 @@ def test_step_past_max_context_raises(model):
 
 def test_step_computes_two_layer_norms_per_executed_layer(model, monkeypatch):
     # LN1 (shared by q, k and v) and LN2 per executed layer, plus the final LN.
-    import depthlab.model as model_mod
+    import depthlab.autodiff as autodiff_mod
 
     calls = []
-    real = model_mod._layer_norm_forward
-    monkeypatch.setattr(model_mod, "_layer_norm_forward", lambda *a: calls.append(1) or real(*a))
+    real = autodiff_mod._layer_norm_stats
+    monkeypatch.setattr(autodiff_mod, "_layer_norm_stats", lambda *a: calls.append(1) or real(*a))
     for bits in ((1, 1, 1, 1), (1, 0, 1, 1), (0, 0, 1, 0)):
         cache, trace = model.new_state()
         model.routed_forward([1, 2, 3], full_mask(CFG.num_layers), cache, trace)
@@ -380,7 +385,7 @@ def test_tape_forward_matches_plain_forward(model):
     np.testing.assert_allclose(logits_node.data, logits, atol=1e-9)
 
 
-def test_tape_forward_layerdrop_leaves_dropped_params_off_graph(model):
+def test_tape_forward_layerdrop_leaves_dropped_params_off_graph(model, monkeypatch):
     rng = np.random.default_rng(14)
     tokens = rand_tokens(rng, 5)
     g = Graph()
@@ -392,6 +397,27 @@ def test_tape_forward_layerdrop_leaves_dropped_params_off_graph(model):
     assert np.all(leaves["layer3.w1"].grad == 0.0)
     assert np.any(leaves["layer1.wq"].grad != 0.0)
     assert np.any(leaves["layer4.wq"].grad != 0.0)
+
+    # The fine-tune tape of a default-config model with two layers dropped:
+    # one `block` node per executed layer, fed the layer's parameter leaves,
+    # and no per-op chain inside a block. Besides the parameter leaves the
+    # tape holds the embedding, the final layer norm, the head and the loss.
+    tapes = []
+    monkeypatch.setattr(training, "backpropagate", lambda g, loss: tapes.append(g) or backpropagate(g, loss))
+    default = DecoderModel(ModelConfig())
+    training.sequence_loss_and_grads(default, Example("x", "copy: ab", "ab"), skip_layers={2, 5})
+    (g,) = tapes
+    ops = Counter(node.op for node in g.nodes)
+    assert ops.pop("leaf") == len(default.params) + 1
+    assert ops == {
+        "embedding": 1, "slice": 1, "add": 1, "block": default.cfg.num_layers - 2, "layer_norm": 1,
+        "matmul": 1, "add_bias": 1, "log_softmax": 1, "take_per_row": 1, "multiply": 1, "reduce_sum": 1, "scale": 1,
+    }
+    fed = [[g.nodes[i].tensor.data for i in node.input_ids[1:]] for node in g.nodes if node.op == "block"]
+    executed = [l for l in range(1, default.cfg.num_layers + 1) if l not in (2, 5)]
+    for layer, params in zip(executed, fed, strict=True):
+        for name, array in zip(BLOCK_PARAMS, params, strict=True):
+            assert array is default.params[f"layer{layer}.{name}"]
 
 
 def test_tape_forward_with_constant_gates_matches_parallel(model):
@@ -458,7 +484,8 @@ def test_block_matches_naive_attention(long_model, tq, tk):
     values = np.vstack([values, x @ prm[p + "wv"] + prm[p + "bv"]])
     attn = naive_attention(q, keys, values, LONG_CFG.num_heads)
     mid = h + attn @ prm[p + "wo"] + prm[p + "bo"]
-    mlp = _gelu_forward(m._ln(mid, p + "ln2") @ prm[p + "w1"] + prm[p + "b1"]) @ prm[p + "w2"] + prm[p + "b2"]
+    u = m._ln(mid, p + "ln2") @ prm[p + "w1"] + prm[p + "b1"]
+    mlp = 0.5 * u * (1.0 + erf(u / np.sqrt(2.0))) @ prm[p + "w2"] + prm[p + "b2"]
     np.testing.assert_allclose(m._block(layer, h, cache), mid + mlp, rtol=0, atol=1e-12)
 
 
@@ -466,19 +493,19 @@ def test_one_pass_over_several_row_blocks_matches_step_loop_and_forward_hidden(l
     # A cached prefix, then a 100-row pass under (1,0,1,0) and a 70-row pass
     # under (1,1,1,0), whose layer 2 fills the 100 pending slots before it
     # attends: both one-pass calls cross row-block boundaries.
-    import depthlab.model as model_mod
+    import depthlab.autodiff as autodiff_mod
 
     m = long_model
     rng = np.random.default_rng(19)
     tokens = rand_tokens(rng, 200)
     segments = [(30, (1, 1, 1, 1)), (130, (1, 0, 1, 0)), (200, (1, 1, 1, 0))]
     block_rows = []
-    real = model_mod._attention_weights
-    monkeypatch.setattr(model_mod, "_attention_weights", lambda q, k, h: block_rows.append(q.shape[0]) or real(q, k, h))
+    real = autodiff_mod._attention_weights
+    monkeypatch.setattr(autodiff_mod, "_attention_weights", lambda q, k, h: block_rows.append(q.shape[0]) or real(q, k, h))
     cache_a, trace_a = m.new_state()
     for end, bits in segments:
         res_a = m.routed_forward(tokens[:end], RouteMask(bits), cache_a, trace_a)
-    assert max(block_rows) == model_mod._ROW_BLOCK < 70
+    assert max(block_rows) == autodiff_mod._ROW_BLOCK < 70
     monkeypatch.undo()
 
     cache_b, trace_b = m.new_state()
