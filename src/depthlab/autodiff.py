@@ -12,9 +12,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import erf
+from scipy.special import ndtr
 
-_INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
@@ -327,7 +326,7 @@ def _block_forward(
     xhat2, inv2 = _layer_norm_stats(mid, eps)
     x2 = xhat2 * g2 + c2
     u = x2 @ w1 + b1
-    cdf = 0.5 * (1.0 + erf(u * _INV_SQRT2))
+    cdf = ndtr(u)  # the normal CDF, Phi(u)
     act = u * cdf
     if keep is not None:
         keep.update(xhat=xhat, inv=inv, x=x, q=q, k=k, v=v, weights=weights, attn=attn)

@@ -9,6 +9,7 @@ import configparser
 import csv
 import hashlib
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -418,7 +419,7 @@ def stage_train_controllers(
             )
             write_log_csv(result.log, run_dir / "train_log.csv")
 
-            scores, costs = [], []
+            scores, costs, empty = [], [], 0
             for i, ex in enumerate(test_examples[: tcfg.max_eval_sequences]):
                 prompt = tokenizer.encode(ex.prompt, add_bos=True)
                 res = model.generate(
@@ -428,19 +429,21 @@ def stage_train_controllers(
                     rng_seed=int(np.random.default_rng((cfg.seed, 11, mode_idx, int(alpha * 10), i)).integers(2**31)),
                 )
                 scores.append(rouge_l_text(tokenizer.decode(res.generated_ids), ex.label).f)
-                costs.append(
-                    float(np.mean(res.step_costs)) if res.step_costs else float(model_cfg.num_layers)
-                )
+                if res.step_costs:
+                    costs.append(float(np.mean(res.step_costs)))
+                else:
+                    empty += 1
             r_mean, r_half = mean_ci(scores)
             summary_rows.append(
                 {
                     "input_mode": mode.value,
                     "alpha": alpha,
-                    "mean_cost": float(np.mean(costs)),
+                    "mean_cost": float(np.mean(costs)) if costs else math.nan,
                     "rouge_l": r_mean,
                     "rouge_ci_low": r_mean - r_half,
                     "rouge_ci_high": r_mean + r_half,
                     "n": len(scores),
+                    "empty": empty,
                 }
             )
             prompts = [
@@ -455,7 +458,9 @@ def stage_train_controllers(
 
     with open(stage / "sweep_summary.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["input_mode", "alpha", "mean_cost", "rouge_l", "rouge_ci_low", "rouge_ci_high", "n"])
+        writer.writerow(
+            ["input_mode", "alpha", "mean_cost", "rouge_l", "rouge_ci_low", "rouge_ci_high", "n", "empty"]
+        )
         for row in summary_rows:
             writer.writerow(
                 [
@@ -466,6 +471,7 @@ def stage_train_controllers(
                     f"{row['rouge_ci_low']:.6f}",
                     f"{row['rouge_ci_high']:.6f}",
                     row["n"],
+                    row["empty"],
                 ]
             )
     with open(stage / "skip_ratios.csv", "w", newline="") as fh:

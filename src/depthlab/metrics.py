@@ -70,17 +70,19 @@ def rouge_l_text(candidate: str, reference: str, beta: float = 1.0) -> RougeScor
     return rouge_l(tokenize_for_rouge(candidate), tokenize_for_rouge(reference), beta=beta)
 
 
-def cosine(u: np.ndarray, v: np.ndarray) -> float:
-    """Cosine similarity; if either vector has norm < 1e-12 the result is 0."""
-    u = np.asarray(u, dtype=np.float64).ravel()
-    v = np.asarray(v, dtype=np.float64).ravel()
+def cosine(u: np.ndarray, v: np.ndarray) -> float | np.ndarray:
+    """Cosine similarity over the last axis; 0 where either vector has norm
+    < 1e-12. Two (..., d) arrays give a (...) array of row similarities, two
+    1-D vectors a float."""
+    u = np.asarray(u, dtype=np.float64)
+    v = np.asarray(v, dtype=np.float64)
     if u.shape != v.shape:
         raise ValueError(f"cosine: dimension mismatch {u.shape} vs {v.shape}")
-    nu = float(np.linalg.norm(u))
-    nv = float(np.linalg.norm(v))
-    if nu < 1e-12 or nv < 1e-12:
-        return 0.0
-    return float(np.dot(u, v) / (nu * nv))
+    nu = np.sqrt((u * u).sum(axis=-1))
+    nv = np.sqrt((v * v).sum(axis=-1))
+    ok = (nu >= 1e-12) & (nv >= 1e-12)
+    sims = np.divide((u * v).sum(axis=-1), nu * nv, out=np.zeros(nu.shape), where=ok)
+    return float(sims) if sims.ndim == 0 else sims
 
 
 def mean_ci(samples: Sequence[float], level: float = 0.95) -> tuple[float, float]:

@@ -240,6 +240,11 @@ class DecoderModel:
         for name, shape in param_shapes(cfg).items():
             if self.params[name].shape != shape:
                 raise ValueError(f"parameter {name} has shape {self.params[name].shape}, expected {shape}")
+        # Each layer's parameter names in `BLOCK_PARAMS` order. Only names are
+        # kept: `AdamW` replaces the arrays in `params`.
+        self._block_names = [
+            tuple(f"layer{l}.{name}" for name in BLOCK_PARAMS) for l in range(1, cfg.num_layers + 1)
+        ]
 
     # -- basic pieces -------------------------------------------------------
 
@@ -263,11 +268,13 @@ class DecoderModel:
         """Key/value rows this layer derives from an incoming hidden state:
         the fill of a skipped position, the same LN1 and projections that
         `_block` applies to an executed one."""
-        p = f"layer{layer}."
-        x = self._ln(h_in, p + "ln1")
-        k = x @ self.params[p + "wk"] + self.params[p + "bk"]
-        v = x @ self.params[p + "wv"] + self.params[p + "bv"]
-        return k, v
+        g1, c1, _wq, wk, wv, _wo, _bq, bk, bv, *_ = self._layer_params(layer)
+        x = _layer_norm_forward(h_in, g1, c1, self.cfg.layer_norm_eps)
+        return x @ wk + bk, x @ wv + bv
+
+    def _layer_params(self, layer: int) -> list[np.ndarray]:
+        """Layer `layer`'s parameter arrays in `BLOCK_PARAMS` order."""
+        return [self.params[name] for name in self._block_names[layer - 1]]
 
     def _fill_absent(self, layer: int, cache: KVCache, trace: HiddenTrace, upto: int) -> None:
         """Fill the layer's pending slots at positions 0..upto, in order, one
@@ -283,12 +290,10 @@ class DecoderModel:
         rows attend causally among themselves; with one they are the next t
         positions: their k/v are appended to the cache and they attend over
         every cached row of the layer, which must all be readable."""
-        p = f"layer{layer}."
-        params = [self.params[p + name] for name in BLOCK_PARAMS]
         kv = None
         if cache is not None:
             kv = lambda k, v: cache.kv_matrices(layer, cache.append_computed(layer, k, v))
-        return _block_forward(h, params, self.cfg.num_heads, self.cfg.layer_norm_eps, kv)
+        return _block_forward(h, self._layer_params(layer), self.cfg.num_heads, self.cfg.layer_norm_eps, kv)
 
     # -- cached routed forward ------------------------------------------------
 

@@ -60,7 +60,8 @@ def probe(
     eos = tokenizer.EOS if stop_at_eos else None
 
     # Duplicate strategy entries stay distinct (they simply score identically).
-    pooled: dict[tuple[int, str, int], tuple[list[float], list[float]]] = {}
+    # Per (strategy, label, cost): one (steps, L+1) similarity array per prompt.
+    pooled: dict[tuple[int, str, int], list[np.ndarray]] = {}
     for i, prompt in enumerate(prompts):
         prompt = list(prompt)
         ref = model.generate(prompt, plan=RoutePlan.full(L), max_new=max_new, eos_id=eos)
@@ -69,24 +70,22 @@ def probe(
         if n_steps <= 0:
             continue
         forced = prompt + ref.generated_ids[:n_steps]
+        ref_states = np.stack(ref.trace.rows[p:])
         for s_idx, template in enumerate(strategies):
             for cost in cost_grid:
                 plan = template.with_cost(cost)
                 rng = np.random.default_rng((seed, s_idx, cost, i))
                 var_states, _ = model.replay_tokens(forced, p, plan, rng)
-                finals, layerwise = pooled.setdefault((s_idx, plan.label(), cost), ([], []))
-                for t in range(p, len(forced)):
-                    finals.append(cosine(ref.trace.h(t, L), var_states[t, L]))
-                    sims = [cosine(ref.trace.h(t, l), var_states[t, l]) for l in range(1, L)]
-                    layerwise.append(float(np.mean(sims)))
+                pooled.setdefault((s_idx, plan.label(), cost), []).append(cosine(ref_states, var_states[p:]))
 
     if not pooled:
         raise ValueError("no generated steps to probe (every reference generation was empty)")
 
     entries = []
-    for (_s_idx, label, cost), (finals, layerwise) in sorted(pooled.items()):
-        f_mean, f_half = mean_ci(finals)
-        l_mean, l_half = mean_ci(layerwise)
+    for (_s_idx, label, cost), per_prompt in sorted(pooled.items()):
+        sims = np.concatenate(per_prompt)
+        f_mean, f_half = mean_ci(sims[:, L])
+        l_mean, l_half = mean_ci(sims[:, 1:L].mean(axis=1))
         entries.append(
             SimilarityEntry(
                 strategy=label,
@@ -95,7 +94,7 @@ def probe(
                 final_half_width=f_half,
                 layerwise_mean=l_mean,
                 layerwise_half_width=l_half,
-                n=len(finals),
+                n=len(sims),
             )
         )
     return SimilarityReport(entries=entries)

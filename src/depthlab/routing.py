@@ -36,11 +36,6 @@ class RouteMask:
         return "".join(str(b) for b in self.bits)
 
 
-def cost_of(mask: RouteMask) -> int:
-    """Number of executed layers (popcount of the mask)."""
-    return mask.cost
-
-
 def full_mask(num_layers: int) -> RouteMask:
     return RouteMask(tuple([1] * num_layers))
 

@@ -61,8 +61,14 @@ class TrainConfig:
 
 
 class AdamW:
-    """Decoupled weight decay Adam; decay applies to matrices only. Updates
-    are functional (parameters are replaced, never mutated in place)."""
+    """Decoupled weight decay Adam; decay applies to matrices only.
+
+    Parameters are replaced, never mutated in place: tape leaves hold the
+    parameter arrays uncopied. The optimizer-owned moments are updated in
+    place, and the bias-corrected moments and the update are computed in two
+    scratch buffers that every parameter shares (each sized to the largest
+    parameter). Each step performs the operations of the textbook formula in
+    the same order, so the result is bit-identical to it."""
 
     def __init__(self, names: Sequence[str], cfg: TrainConfig):
         self.names = list(names)
@@ -70,27 +76,38 @@ class AdamW:
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}
         self.t = 0
+        self._scratch: dict[str, tuple[np.ndarray, np.ndarray]] = {}
 
     def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray], lr: float) -> None:
         cfg = self.cfg
+        if self.t == 0:
+            buffers = np.empty((2, max((grads[name].size for name in self.names), default=0)))
+            for name in self.names:
+                shape = grads[name].shape
+                self.m[name], self.v[name] = np.zeros(shape), np.zeros(shape)
+                self._scratch[name] = tuple(buf[: grads[name].size].reshape(shape) for buf in buffers)
         self.t += 1
         b1, b2 = cfg.adam_beta1, cfg.adam_beta2
         for name in self.names:
-            g = grads[name]
-            m = self.m.get(name)
-            if m is None:
-                m = np.zeros_like(g)
-                self.v[name] = np.zeros_like(g)
-            v = self.v[name]
-            m = b1 * m + (1 - b1) * g
-            v = b2 * v + (1 - b2) * (g * g)
-            self.m[name], self.v[name] = m, v
-            m_hat = m / (1 - b1**self.t)
-            v_hat = v / (1 - b2**self.t)
-            update = m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
+            g, m, v = grads[name], self.m[name], self.v[name]
+            a, b = self._scratch[name]
+            # m = b1 * m + (1 - b1) * g;  v = b2 * v + (1 - b2) * (g * g)
+            m *= b1
+            m += np.multiply(g, 1 - b1, out=a)
+            v *= b2
+            np.multiply(g, g, out=a)
+            a *= 1 - b2
+            v += a
+            # update = m_hat / (sqrt(v_hat) + eps) [+ weight_decay * param]
+            np.divide(m, 1 - b1**self.t, out=a)
+            np.divide(v, 1 - b2**self.t, out=b)
+            np.sqrt(b, out=b)
+            b += cfg.adam_eps
+            a /= b
             if params[name].ndim >= 2:
-                update = update + cfg.weight_decay * params[name]
-            params[name] = params[name] - lr * update
+                a += np.multiply(params[name], cfg.weight_decay, out=b)
+            a *= lr
+            params[name] = params[name] - a
 
 
 @dataclass
@@ -158,7 +175,9 @@ def _rouge_eval(
     bank: ControllerBank | None = None,
     seed_tag: int = 0,
 ) -> tuple[float, float]:
-    """Mean ROUGE-L F and mean realized per-step cost of greedy generations."""
+    """Mean ROUGE-L F of greedy generations, and their mean realized
+    per-step cost over the generations that took at least one step (nan when
+    none did)."""
     scores = []
     costs = []
     for i, ex in enumerate(examples[: cfg.max_eval_sequences]):
@@ -176,9 +195,7 @@ def _rouge_eval(
         scores.append(rouge_l_text(text, ex.label).f)
         if res.step_costs:
             costs.append(float(np.mean(res.step_costs)))
-        else:
-            costs.append(float(model.cfg.num_layers))
-    return float(np.mean(scores)), float(np.mean(costs))
+    return float(np.mean(scores)), float(np.mean(costs)) if costs else math.nan
 
 
 def _schedule_factor(cfg: TrainConfig, step: int, total_steps: int) -> float:

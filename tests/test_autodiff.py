@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.special import erf
 
 from depthlab import autodiff
 from depthlab.autodiff import (
@@ -267,3 +268,18 @@ def test_embedding_rejects_out_of_range_ids():
     table = g.leaf(np.zeros((4, 2)))
     with pytest.raises(ShapeError, match="embedding"):
         g.embedding(table, [0, 4])
+
+
+def test_block_gelu_matches_the_erf_formula():
+    # With w1 = 0 the MLP's pre-activation u is b1 on every row, so the block
+    # applies its GELU to a grid over [-40, 40].
+    grid = np.linspace(-40.0, 40.0, 8001)
+    params = {name: np.zeros(shape) for name, shape in autodiff.block_param_shapes(2, grid.size).items()}
+    params["b1"] = grid
+    keep = {}
+    h = np.array([[1.0, -1.0], [0.5, 2.0]])
+    autodiff._block_forward(h, [params[name] for name in BLOCK_PARAMS], 1, 1e-5, keep=keep)
+    assert np.array_equal(keep["u"], np.broadcast_to(grid, keep["u"].shape))
+    reference = grid * 0.5 * (1.0 + erf(grid / np.sqrt(2.0)))
+    assert np.abs(keep["act"] - reference).max() <= 2e-15
+    assert np.abs(keep["cdf"] - 0.5 * (1.0 + erf(grid / np.sqrt(2.0)))).max() <= 2.3e-16

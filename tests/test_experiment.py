@@ -6,6 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from depthlab import tokenizer
+from depthlab.checkpoint import load_checkpoint, save_checkpoint
 from depthlab.cli import main
 from depthlab.experiment import ExperimentConfig
 
@@ -141,6 +143,23 @@ def test_chi2_artifact_structure(run_dir):
     assert len(chi2_files) == 1
     payload = json.loads(chi2_files[0].read_text())
     assert set(payload) >= {"statistic", "dof", "p_value", "table", "model_costs"}
+
+
+def test_all_empty_controller_sweep_reports_nan_cost(run_dir, tmp_path):
+    # A backbone whose head always picks EOS emits nothing: each generation
+    # takes no step, so there is no realized cost to average.
+    config = run_dir / "tiny.ini"
+    out = tmp_path / "mute"
+    shutil.copytree(run_dir / "out" / "corpus", out / "corpus")
+    backbone = run_dir / "out" / "checkpoints" / "backbone"
+    model_cfg, params, extra = load_checkpoint(backbone)
+    params["head.b"][tokenizer.EOS] = 1e3
+    save_checkpoint(out / "checkpoints" / "backbone", model_cfg, params, extra=extra)
+    assert main(["train-controllers", "--config", str(config), "--out", str(out), "--seed", "0"]) == 0
+    rows = list(csv.DictReader((out / "controllers" / "sweep_summary.csv").read_text().splitlines()))
+    assert [(r["empty"], r["n"], r["mean_cost"]) for r in rows] == [("4", "4", "nan")]
+    log = list(csv.DictReader((out / "controllers" / "hidden_a4" / "train_log.csv").read_text().splitlines()))
+    assert [r["mean_cost"] for r in log if r["split"] == "val"] == ["nan"] * 3
 
 
 def test_rerun_of_corpus_and_train_is_byte_identical(run_dir, tmp_path):

@@ -120,6 +120,39 @@ def test_cosine_scaling_sign():
     assert cosine(-2.5 * u, 0.3 * v) == pytest.approx(-base)
 
 
+def _scalar_cosine(u, v):
+    """The one-pair formula: dot over the product of norms, 0 below 1e-12."""
+    nu, nv = float(np.linalg.norm(u)), float(np.linalg.norm(v))
+    if nu < 1e-12 or nv < 1e-12:
+        return 0.0
+    return float(np.dot(u, v) / (nu * nv))
+
+
+def test_cosine_rowwise_matches_scalar_loop():
+    rng = np.random.default_rng(2)
+    u, v = rng.normal(size=(5, 3, 7)), rng.normal(size=(5, 3, 7))
+    u[1, 2] = 0.0  # zero rows on either side give 0
+    v[3, 0] = 0.0
+    u[4, 1] = 1e-13
+    sims = cosine(u, v)
+    assert isinstance(sims, np.ndarray) and sims.shape == (5, 3)
+    for i, j in itertools.product(range(5), range(3)):
+        assert sims[i, j] == pytest.approx(_scalar_cosine(u[i, j], v[i, j]), abs=1e-15)
+    assert sims[1, 2] == sims[3, 0] == sims[4, 1] == 0.0
+
+
+def test_cosine_returns_float_for_vectors_and_rejects_shape_mismatch():
+    rng = np.random.default_rng(3)
+    u, v = rng.normal(size=6), rng.normal(size=6)
+    assert type(cosine(u, v)) is float
+    assert cosine(u, v) == pytest.approx(_scalar_cosine(u, v), abs=1e-15)
+    assert type(cosine(np.zeros(6), v)) is float
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        cosine(np.ones((3, 4)), np.ones((4, 3)))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        cosine(np.ones((2, 4)), np.ones(4))
+
+
 def test_mean_ci_all_equal():
     mean, half = mean_ci([0.7, 0.7, 0.7])
     assert mean == pytest.approx(0.7)

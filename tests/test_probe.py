@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from depthlab.metrics import cosine, mean_ci
 from depthlab.model import DecoderModel, ModelConfig, init_params
 from depthlab.probe import compare_strategies, probe, ranking_to_csv, similarity_to_csv
 from depthlab.routing import RoutePlan
@@ -37,8 +38,6 @@ def test_early_exit_at_full_depth_similarity_is_one(model, prompts):
 def test_early_exit_shared_prefix_layers_identical(model, prompts):
     # Layers l <= L_E compute exactly the same states as the full model on a
     # forced trajectory.
-    from depthlab.metrics import cosine
-
     prompt = prompts[0]
     ref = model.generate(prompt, plan=RoutePlan.full(CFG.num_layers), max_new=5, rng_seed=0, eos_id=None)
     n_steps = ref.trace.num_positions - len(prompt)
@@ -110,3 +109,44 @@ def test_csv_outputs(model, prompts, tmp_path):
     rank_path = tmp_path / "ranking.csv"
     ranking_to_csv(compare_strategies(report), rank_path)
     assert rank_path.read_text().startswith("cost,rank,strategy,final_mean")
+
+
+def _per_step_probe(model, prompts, strategies, cost_grid, seed, max_new):
+    """The probe as a loop over steps and layers with one cosine per pair:
+    {(strategy index, label, cost): (final mean, half, layerwise mean, half, n)}."""
+    L = model.cfg.num_layers
+    pooled = {}
+    for i, prompt in enumerate(prompts):
+        ref = model.generate(list(prompt), plan=RoutePlan.full(L), max_new=max_new)
+        p = len(prompt)
+        n_steps = ref.trace.num_positions - p
+        if n_steps <= 0:
+            continue
+        forced = list(prompt) + ref.generated_ids[:n_steps]
+        for s_idx, template in enumerate(strategies):
+            for cost in cost_grid:
+                plan = template.with_cost(cost)
+                states, _ = model.replay_tokens(forced, p, plan, np.random.default_rng((seed, s_idx, cost, i)))
+                finals, layerwise = pooled.setdefault((s_idx, plan.label(), cost), ([], []))
+                for t in range(p, len(forced)):
+                    finals.append(cosine(ref.trace.h(t, L), states[t, L]))
+                    layerwise.append(float(np.mean([cosine(ref.trace.h(t, l), states[t, l]) for l in range(1, L)])))
+    return {key: (*mean_ci(f), *mean_ci(lw), len(f)) for key, (f, lw) in pooled.items()}
+
+
+def test_probe_matches_the_per_step_loop(model, prompts):
+    L = CFG.num_layers
+    strategies = [
+        RoutePlan.early_exit(L, L),
+        RoutePlan.uniform_skip(L, L),
+        RoutePlan.random_skip(L, L, enforce_first=True),
+        RoutePlan.random_skip(L, L, enforce_first=False),
+    ]
+    prompts = prompts + [prompts[0][:1]]
+    report = probe(model, prompts, strategies, [1, 2, 3], seed=5, max_new=7)
+    expected = _per_step_probe(model, prompts, strategies, [1, 2, 3], seed=5, max_new=7)
+    assert len(report.entries) == len(expected) == 12
+    for e, (_key, want) in zip(report.entries, sorted(expected.items())):
+        got = (e.final_mean, e.final_half_width, e.layerwise_mean, e.layerwise_half_width)
+        assert np.abs(np.subtract(got, want[:4])).max() <= 1e-15
+        assert e.n == want[4] == 7 * len(prompts)

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from depthlab.routing import RouteMask, RoutePlan, cost_of, ee_mask, full_mask, rls_mask, uls_mask
+from depthlab.routing import RouteMask, RoutePlan, ee_mask, full_mask, rls_mask, uls_mask
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -108,12 +108,6 @@ def test_rls_reproducible_under_seed():
     a = [rls_mask(8, 4, True, np.random.default_rng(7)).bits for _ in range(3)]
     b = [rls_mask(8, 4, True, np.random.default_rng(7)).bits for _ in range(3)]
     assert a == b
-
-
-def test_cost_of():
-    assert cost_of(RouteMask((1, 0, 1, 0))) == 2
-    assert cost_of(full_mask(24)) == 24
-    assert cost_of(RouteMask((1,))) == 1
 
 
 def test_route_mask_validation():

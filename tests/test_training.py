@@ -101,6 +101,46 @@ def test_single_sequence_overfit_smoke():
     assert loss < 0.1, f"loss {loss} after {step} steps"
 
 
+def _functional_adamw(params, grads, m, v, t, lr, cfg):
+    """One AdamW step as the textbook formula, each line a new array."""
+    b1, b2 = cfg.adam_beta1, cfg.adam_beta2
+    out = {}
+    for name in sorted(params):
+        g = grads[name]
+        m[name] = b1 * m[name] + (1 - b1) * g
+        v[name] = b2 * v[name] + (1 - b2) * (g * g)
+        m_hat = m[name] / (1 - b1**t)
+        v_hat = v[name] / (1 - b2**t)
+        update = m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
+        if params[name].ndim >= 2:
+            update = update + cfg.weight_decay * params[name]
+        out[name] = params[name] - lr * update
+    return out
+
+
+def test_adamw_matches_the_functional_formula_bit_for_bit():
+    rng = np.random.default_rng(4)
+    shapes = {"w": (5, 3), "big": (7, 9), "b": (3,), "gain": (11,)}
+    params = {name: rng.normal(size=shape) for name, shape in shapes.items()}
+    cfg = quick_cfg(weight_decay=0.05)
+    optimizer = training.AdamW(sorted(params), cfg)
+    expected = dict(params)
+    m = {name: np.zeros(shape) for name, shape in shapes.items()}
+    v = {name: np.zeros(shape) for name, shape in shapes.items()}
+    for t, lr in enumerate((3e-3, 1e-3, 2e-4), start=1):
+        grads = {name: rng.normal(size=shape) * 10.0 ** rng.integers(-6, 2) for name, shape in shapes.items()}
+        before = dict(params)
+        snapshot = {name: value.copy() for name, value in params.items()}
+        optimizer.step(params, grads, lr)
+        expected = _functional_adamw(expected, grads, m, v, t, lr, cfg)
+        for name in shapes:
+            assert np.array_equal(params[name], expected[name]), (t, name)
+            assert np.array_equal(optimizer.m[name], m[name]) and np.array_equal(optimizer.v[name], v[name])
+            # the caller's arrays are replaced, never written into
+            assert params[name] is not before[name]
+            assert np.array_equal(before[name], snapshot[name]), (t, name)
+
+
 def test_finetune_drops_the_layers_draw_layerdrop_draws(monkeypatch):
     seen = []
     real = training.sequence_loss_and_grads
