@@ -42,7 +42,7 @@ from .oracle import (
 )
 from .probe import compare_strategies, probe, ranking_to_csv, similarity_to_csv
 from .routing import RoutePlan
-from .training import TrainConfig, finetune, train_controllers, write_log_csv
+from .training import TrainConfig, finetune, rouge_eval, train_controllers, write_log_csv
 
 DEFAULTS: dict[str, dict[str, str]] = {
     "run": {"seed": "0"},
@@ -419,20 +419,8 @@ def stage_train_controllers(
             )
             write_log_csv(result.log, run_dir / "train_log.csv")
 
-            scores, costs, empty = [], [], 0
-            for i, ex in enumerate(test_examples[: tcfg.max_eval_sequences]):
-                prompt = tokenizer.encode(ex.prompt, add_bos=True)
-                res = model.generate(
-                    prompt,
-                    gate_fn_factory=bank.gate_fn,
-                    max_new=tcfg.eval_max_new,
-                    rng_seed=int(np.random.default_rng((cfg.seed, 11, mode_idx, int(alpha * 10), i)).integers(2**31)),
-                )
-                scores.append(rouge_l_text(tokenizer.decode(res.generated_ids), ex.label).f)
-                if res.step_costs:
-                    costs.append(float(np.mean(res.step_costs)))
-                else:
-                    empty += 1
+            key = (cfg.seed, 11, mode_idx, int(alpha * 10))
+            scores, costs = rouge_eval(model, test_examples, tcfg, key, bank=bank)
             r_mean, r_half = mean_ci(scores)
             summary_rows.append(
                 {
@@ -443,7 +431,7 @@ def stage_train_controllers(
                     "rouge_ci_low": r_mean - r_half,
                     "rouge_ci_high": r_mean + r_half,
                     "n": len(scores),
-                    "empty": empty,
+                    "empty": len(scores) - len(costs),
                 }
             )
             prompts = [
@@ -637,29 +625,33 @@ def _read_csv(path: Path) -> list[dict[str, str]]:
         return list(csv.DictReader(fh))
 
 
+def _copy_columns(src: Path, dst: Path, columns: Sequence[str]) -> None:
+    """Write the named columns of a CSV, in that order, to a new CSV."""
+    rows = _read_csv(src)
+    with open(dst, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        for row in rows:
+            writer.writerow([row[c] for c in columns])
+
+
 def stage_report(cfg: ExperimentConfig, out: Path) -> Path:
     stage = _start_stage(out, "report", cfg)
     _check_model_hashes(out, ["probe", "controllers", "predictions", "oracle"])
 
     # Fig 1a layout: similarity vs cost per strategy, long format.
-    sim_rows = _read_csv(out / "probe" / "similarity.csv")
-    with open(stage / "fig1a_similarity.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["strategy", "cost", "metric", "mean", "ci_low", "ci_high", "n"])
-        for row in sim_rows:
-            writer.writerow(
-                [row["strategy"], row["cost"], row["metric"], row["mean"], row["ci_low"], row["ci_high"], row["n"]]
-            )
+    _copy_columns(
+        out / "probe" / "similarity.csv",
+        stage / "fig1a_similarity.csv",
+        ["strategy", "cost", "metric", "mean", "ci_low", "ci_high", "n"],
+    )
 
     # Fig 1b layout: cost vs quality operating curve per controller input mode.
-    sweep_rows = _read_csv(out / "controllers" / "sweep_summary.csv")
-    with open(stage / "fig1b_controller_curves.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["input_mode", "alpha", "mean_cost", "rouge_l", "rouge_ci_low", "rouge_ci_high"])
-        for row in sweep_rows:
-            writer.writerow(
-                [row["input_mode"], row["alpha"], row["mean_cost"], row["rouge_l"], row["rouge_ci_low"], row["rouge_ci_high"]]
-            )
+    _copy_columns(
+        out / "controllers" / "sweep_summary.csv",
+        stage / "fig1b_controller_curves.csv",
+        ["input_mode", "alpha", "mean_cost", "rouge_l", "rouge_ci_low", "rouge_ci_high"],
+    )
 
     # Fig 2 layout: oracle score + stacked selection percentages per budget.
     oracle_rows = _read_csv(out / "oracle" / "sweep.csv")
@@ -688,12 +680,11 @@ def stage_report(cfg: ExperimentConfig, out: Path) -> Path:
             )
 
     # Per-layer skip ratios per alpha and input mode.
-    ratio_rows = _read_csv(out / "controllers" / "skip_ratios.csv")
-    with open(stage / "skip_ratios.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["input_mode", "alpha", "layer", "skip_fraction"])
-        for row in ratio_rows:
-            writer.writerow([row["input_mode"], row["alpha"], row["layer"], row["skip_fraction"]])
+    _copy_columns(
+        out / "controllers" / "skip_ratios.csv",
+        stage / "skip_ratios.csv",
+        ["input_mode", "alpha", "layer", "skip_fraction"],
+    )
 
     inputs = [
         out / "probe" / "similarity.csv",

@@ -85,22 +85,17 @@ def cosine(u: np.ndarray, v: np.ndarray) -> float | np.ndarray:
     return float(sims) if sims.ndim == 0 else sims
 
 
-def mean_ci(samples: Sequence[float], level: float = 0.95) -> tuple[float, float]:
-    """Mean and half-width of the normal-approximation confidence interval.
+def mean_ci(samples: Sequence[float]) -> tuple[float, float]:
+    """Mean and half-width of the 95% normal-approximation confidence
+    interval.
 
-    Uses z * s / sqrt(n) with the n-1 sample standard deviation. Requires at
-    least two samples.
+    Uses z * s / sqrt(n) with z = 1.95996 and the n-1 sample standard
+    deviation. Requires at least two samples.
     """
     n = len(samples)
     if n < 2:
         raise ValueError(f"mean_ci needs >= 2 samples, got {n}")
     arr = np.asarray(samples, dtype=np.float64)
-    if level == 0.95:
-        z = _Z_95
-    else:
-        from scipy.special import ndtri
-
-        z = float(ndtri(0.5 + level / 2.0))
     mean = float(arr.mean())
     s = float(arr.std(ddof=1))
-    return mean, z * s / math.sqrt(n)
+    return mean, _Z_95 * s / math.sqrt(n)

@@ -365,20 +365,17 @@ class DecoderModel:
         max_new: int = 64,
         rng_seed: int = 0,
         gate_fn_factory: Callable[[np.random.Generator], GateFn] | None = None,
-        sample: bool = False,
-        temperature: float = 1.0,
         eos_id: int | None = tokenizer.EOS,
     ) -> GenerationResult:
         """Autoregressive decoding. The prompt always runs under the full mask;
-        routing applies to generated positions only. Greedy argmax by default;
-        temperature sampling when `sample` is set, seeded by `rng_seed`."""
+        routing applies to generated positions only. Decoding is greedy;
+        `rng_seed` seeds the gates and random-skip masks."""
         if len(prompt_ids) == 0:
             raise ValueError("empty prompt")
         if plan is None and gate_fn_factory is None:
             plan = RoutePlan.full(self.cfg.num_layers)
         cache, trace = self.new_state()
         rng = np.random.default_rng(rng_seed)
-        sample_rng = np.random.default_rng((rng_seed, 1))
 
         prompt = list(prompt_ids)
         fm = full_mask(self.cfg.num_layers)
@@ -390,12 +387,7 @@ class DecoderModel:
         previous_mask: RouteMask | None = None
         tokens = prompt
         for _ in range(max_new):
-            if sample:
-                logits = result.logits / temperature
-                probs = _softmax_forward(logits)
-                next_id = int(sample_rng.choice(self.cfg.vocab_size, p=probs))
-            else:
-                next_id = int(np.argmax(result.probs))
+            next_id = int(np.argmax(result.probs))
             generated.append(next_id)
             if eos_id is not None and next_id == eos_id:
                 break

@@ -1,6 +1,7 @@
-"""Optimization loops: backbone fine-tuning (optionally with random layer
-dropout), and cost-regularized controller training with a joint or frozen
-backbone. All loops are fully deterministic given (seed, config, corpus)."""
+"""Optimization: backbone fine-tuning (optionally with random layer dropout)
+and cost-regularized controller training with a joint or frozen backbone,
+both run by one loop. Training is fully deterministic given (seed, config,
+corpus)."""
 
 from __future__ import annotations
 
@@ -8,7 +9,7 @@ import csv
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -121,7 +122,6 @@ class LogRow:
 
 @dataclass
 class TrainResult:
-    best_params: dict[str, np.ndarray]
     best_metric: float
     log: list[LogRow] = field(default_factory=list)
 
@@ -168,34 +168,31 @@ def sequence_loss_and_grads(
     return loss.item(), {name: leaves[name].grad for name in model.params}
 
 
-def _rouge_eval(
+def rouge_eval(
     model: DecoderModel,
     examples: Sequence[Example],
     cfg: TrainConfig,
+    key: tuple[int, ...],
     bank: ControllerBank | None = None,
-    seed_tag: int = 0,
-) -> tuple[float, float]:
-    """Mean ROUGE-L F of greedy generations, and their mean realized
-    per-step cost over the generations that took at least one step (nan when
-    none did)."""
-    scores = []
-    costs = []
+) -> tuple[list[float], list[float]]:
+    """Greedy generations for the first cfg.max_eval_sequences examples,
+    gated by `bank` when given. Returns each one's ROUGE-L F against its
+    label, and the mean realized per-step cost of each generation that took
+    at least one step. Generation i draws its gates from a seed derived from
+    (*key, i)."""
+    scores: list[float] = []
+    costs: list[float] = []
     for i, ex in enumerate(examples[: cfg.max_eval_sequences]):
-        prompt = tokenizer.encode(ex.prompt, add_bos=True)
-        if bank is None:
-            res = model.generate(prompt, max_new=cfg.eval_max_new, rng_seed=0)
-        else:
-            res = model.generate(
-                prompt,
-                gate_fn_factory=bank.gate_fn,
-                max_new=cfg.eval_max_new,
-                rng_seed=int(np.random.default_rng((cfg.seed, 7, seed_tag, i)).integers(2**31)),
-            )
-        text = tokenizer.decode(res.generated_ids)
-        scores.append(rouge_l_text(text, ex.label).f)
+        res = model.generate(
+            tokenizer.encode(ex.prompt, add_bos=True),
+            gate_fn_factory=None if bank is None else bank.gate_fn,
+            max_new=cfg.eval_max_new,
+            rng_seed=int(np.random.default_rng((*key, i)).integers(2**31)),
+        )
+        scores.append(rouge_l_text(tokenizer.decode(res.generated_ids), ex.label).f)
         if res.step_costs:
             costs.append(float(np.mean(res.step_costs)))
-    return float(np.mean(scores)), float(np.mean(costs)) if costs else math.nan
+    return scores, costs
 
 
 def _schedule_factor(cfg: TrainConfig, step: int, total_steps: int) -> float:
@@ -204,8 +201,92 @@ def _schedule_factor(cfg: TrainConfig, step: int, total_steps: int) -> float:
     return max(0.0, 1.0 - step / max(total_steps, 1))
 
 
-def _linear_lr(cfg: TrainConfig, step: int, total_steps: int) -> float:
-    return cfg.learning_rate * _schedule_factor(cfg, step, total_steps)
+SequenceStep = Callable[[Example], tuple[float, dict[str, np.ndarray], float]]
+
+
+def _fit(
+    model: DecoderModel,
+    bank: ControllerBank | None,
+    train_examples: Sequence[Example],
+    val_examples: Sequence[Example],
+    cfg: TrainConfig,
+    data_rng: np.random.Generator,
+    batch_hook: Callable[[], SequenceStep],
+    groups: Sequence[tuple[dict[str, np.ndarray], float]],
+) -> TrainResult:
+    """The one training loop. Each epoch shuffles the training examples with
+    `data_rng`; each batch calls `batch_hook` once for the per-sequence step
+    that gives (loss, grads, cost), sums the gradients in sequence order and
+    scales them by 1/len(batch). Every (params, base lr) group has its own
+    AdamW, stepped at lr times the schedule factor. Validation ROUGE-L runs
+    every eval interval; the parameters are snapshotted on a strictly better
+    score, training stops after `patience` evals without one, and the best
+    snapshot is restored into each group's dict."""
+    if len(train_examples) == 0:
+        raise ValueError("empty training corpus")
+    steps_per_epoch = math.ceil(len(train_examples) / cfg.batch_size)
+    total_steps = steps_per_epoch * cfg.max_epochs
+    eval_interval = max(1, round(cfg.eval_every * steps_per_epoch))
+    optimizers = [(params, lr, AdamW(sorted(params), cfg)) for params, lr in groups]
+
+    log: list[LogRow] = []
+    best_metric = -np.inf
+    best = [{k: v.copy() for k, v in params.items()} for params, _ in groups]
+    evals_since_best = 0
+    step = 0
+    running_loss: list[float] = []
+    running_cost: list[float] = []
+
+    # One shuffle per epoch, drawn lazily: an early stop draws no more.
+    batches = (
+        [train_examples[i] for i in order[start : start + cfg.batch_size]]
+        for order in (data_rng.permutation(len(train_examples)) for _ in range(cfg.max_epochs))
+        for start in range(0, len(order), cfg.batch_size)
+    )
+    for batch in batches:
+        sequence_step = batch_hook()
+        acc: dict[str, np.ndarray] = {}
+        batch_loss = 0.0
+        batch_cost = 0.0
+        for ex in batch:
+            loss, grads, cost = sequence_step(ex)
+            if not math.isfinite(loss):
+                raise TrainingDiverged(step, loss)
+            batch_loss += loss
+            batch_cost += cost
+            for name, grad in grads.items():
+                acc[name] = acc[name] + grad if name in acc else grad
+        scale = 1.0 / len(batch)
+        grads_avg = {name: grad * scale for name, grad in acc.items()}
+        factor = _schedule_factor(cfg, step, total_steps)
+        for params, lr, optimizer in optimizers:
+            optimizer.step(params, grads_avg, lr * factor)
+        running_loss.append(batch_loss * scale)
+        running_cost.append(batch_cost * scale)
+        step += 1
+
+        if step % eval_interval == 0 or step == total_steps:
+            scores, costs = rouge_eval(model, val_examples, cfg, (cfg.seed, 7, step), bank=bank)
+            val_rouge = float(np.mean(scores))
+            if bank is None:
+                val_cost = float(model.cfg.num_layers)  # the full model runs every layer
+            else:
+                val_cost = float(np.mean(costs)) if costs else math.nan
+            log.append(LogRow(step, "train", float(np.mean(running_loss)), 0.0, float(np.mean(running_cost))))
+            log.append(LogRow(step, "val", 0.0, val_rouge, val_cost))
+            running_loss, running_cost = [], []
+            if val_rouge > best_metric:
+                best_metric = val_rouge
+                best = [{k: v.copy() for k, v in params.items()} for params, _ in groups]
+                evals_since_best = 0
+            else:
+                evals_since_best += 1
+                if evals_since_best > cfg.patience:
+                    break
+
+    for (params, _), snapshot in zip(groups, best):
+        params.update(snapshot)
+    return TrainResult(best_metric=best_metric, log=log)
 
 
 def finetune(
@@ -217,80 +298,24 @@ def finetune(
     """Standard fine-tuning: AdamW on prompt-masked next-token cross-entropy,
     with ROUGE-L early stopping on the validation split. When
     cfg.layerdrop_prob > 0, each non-first/non-last layer is dropped
-    independently per batch."""
-    if len(train_examples) == 0:
-        raise ValueError("empty training corpus")
-    data_rng = np.random.default_rng((cfg.seed, 0))
+    independently per batch. `model.params` ends holding the best weights."""
     drop_rng = np.random.default_rng((cfg.seed, 1))
-
-    steps_per_epoch = math.ceil(len(train_examples) / cfg.batch_size)
-    total_steps = steps_per_epoch * cfg.max_epochs
-    eval_interval = max(1, round(cfg.eval_every * steps_per_epoch))
-    optimizer = AdamW(sorted(model.params), cfg)
-
     droppable = list(range(2, model.cfg.num_layers))
-    log: list[LogRow] = []
-    best_metric = -np.inf
-    best_params = {k: v.copy() for k, v in model.params.items()}
-    evals_since_best = 0
-    step = 0
-    running: list[float] = []
-    stop = False
+    full_cost = float(model.cfg.num_layers)
 
-    for _epoch in range(cfg.max_epochs):
-        order = data_rng.permutation(len(train_examples))
-        for start in range(0, len(order), cfg.batch_size):
-            batch = [train_examples[i] for i in order[start : start + cfg.batch_size]]
-            skip: set[int] | None = None
-            if cfg.layerdrop_prob > 0:
-                skip = draw_layerdrop(drop_rng, droppable, cfg.layerdrop_prob)
-            acc: dict[str, np.ndarray] = {k: np.zeros_like(v) for k, v in model.params.items()}
-            batch_loss = 0.0
-            for ex in batch:
-                loss, grads = sequence_loss_and_grads(model, ex, skip_layers=skip)
-                if not math.isfinite(loss):
-                    raise TrainingDiverged(step, loss)
-                batch_loss += loss
-                for name, grad in grads.items():
-                    acc[name] += grad
-            scale = 1.0 / len(batch)
-            for name in acc:
-                acc[name] *= scale
-            optimizer.step(model.params, acc, _linear_lr(cfg, step, total_steps))
-            running.append(batch_loss * scale)
-            step += 1
+    def batch_hook() -> SequenceStep:
+        skip = draw_layerdrop(drop_rng, droppable, cfg.layerdrop_prob) if cfg.layerdrop_prob > 0 else None
+        return lambda ex: (*sequence_loss_and_grads(model, ex, skip_layers=skip), full_cost)
 
-            if step % eval_interval == 0 or step == total_steps:
-                val_rouge, _ = _rouge_eval(model, val_examples, cfg)
-                log.append(LogRow(step, "train", float(np.mean(running)), 0.0, model.cfg.num_layers))
-                log.append(LogRow(step, "val", 0.0, val_rouge, model.cfg.num_layers))
-                running = []
-                if val_rouge > best_metric:
-                    best_metric = val_rouge
-                    best_params = {k: v.copy() for k, v in model.params.items()}
-                    evals_since_best = 0
-                else:
-                    evals_since_best += 1
-                    if evals_since_best > cfg.patience:
-                        stop = True
-                        break
-        if stop:
-            break
-
-    model.params = best_params
-    return TrainResult(best_params=best_params, best_metric=best_metric, log=log)
+    data_rng = np.random.default_rng((cfg.seed, 0))
+    groups = [(model.params, cfg.learning_rate)]
+    return _fit(model, None, train_examples, val_examples, cfg, data_rng, batch_hook, groups)
 
 
 def draw_layerdrop(rng: np.random.Generator, droppable: Sequence[int], prob: float) -> set[int]:
     """One batch's dropped-layer draw: each droppable layer independently
     with probability `prob`."""
     return {l for l in droppable if rng.random() < prob}
-
-
-@dataclass
-class ControllerTrainResult:
-    best_metric: float
-    log: list[LogRow] = field(default_factory=list)
 
 
 def build_controller_sequence_graph(
@@ -385,83 +410,19 @@ def train_controllers(
     val_examples: Sequence[Example],
     cfg: TrainConfig,
     alpha: float,
-) -> ControllerTrainResult:
+) -> TrainResult:
     """Optimize the gate controllers (and, unless frozen, the backbone) under
     the cost-regularized distillation loss at one alpha. The distillation
-    target is the backbone snapshot taken before training starts."""
-    if len(train_examples) == 0:
-        raise ValueError("empty training corpus")
+    target is the backbone snapshot taken before training starts.
+    `bank.params` and `model.params` end holding the best weights."""
     teacher = DecoderModel(model.cfg, {k: v.copy() for k, v in model.params.items()})
-    data_rng = np.random.default_rng((cfg.seed, 2))
     gumbel_rng = np.random.default_rng((cfg.seed, 3))
 
-    trainable = sorted(bank.params)
+    def sequence_step(ex: Example) -> tuple[float, dict[str, np.ndarray], float]:
+        return controller_sequence_loss(model, bank, teacher, ex, alpha, gumbel_rng, cfg.freeze_backbone)
+
+    data_rng = np.random.default_rng((cfg.seed, 2))
+    groups = [(bank.params, cfg.controller_lr)]
     if not cfg.freeze_backbone:
-        trainable += sorted(model.params)
-    ctrl_optimizer = AdamW(sorted(bank.params), cfg)
-    backbone_optimizer = AdamW(sorted(model.params), cfg) if not cfg.freeze_backbone else None
-
-    steps_per_epoch = math.ceil(len(train_examples) / cfg.batch_size)
-    total_steps = steps_per_epoch * cfg.max_epochs
-    eval_interval = max(1, round(cfg.eval_every * steps_per_epoch))
-
-    log: list[LogRow] = []
-    best_metric = -np.inf
-    best_ctrl = {k: v.copy() for k, v in bank.params.items()}
-    best_backbone = {k: v.copy() for k, v in model.params.items()}
-    evals_since_best = 0
-    step = 0
-    running_loss: list[float] = []
-    running_cost: list[float] = []
-    stop = False
-
-    for _epoch in range(cfg.max_epochs):
-        order = data_rng.permutation(len(train_examples))
-        for start in range(0, len(order), cfg.batch_size):
-            batch = [train_examples[i] for i in order[start : start + cfg.batch_size]]
-            acc = {name: None for name in trainable}
-            batch_loss = 0.0
-            batch_cost = 0.0
-            for ex in batch:
-                loss, grads, cost = controller_sequence_loss(
-                    model, bank, teacher, ex, alpha, gumbel_rng, cfg.freeze_backbone
-                )
-                if not math.isfinite(loss):
-                    raise TrainingDiverged(step, loss)
-                batch_loss += loss
-                batch_cost += cost
-                for name in trainable:
-                    acc[name] = grads[name] if acc[name] is None else acc[name] + grads[name]
-            scale = 1.0 / len(batch)
-            grads_avg = {name: acc[name] * scale for name in trainable}
-            factor = _schedule_factor(cfg, step, total_steps)
-            ctrl_optimizer.step(bank.params, grads_avg, cfg.controller_lr * factor)
-            if backbone_optimizer is not None:
-                backbone_optimizer.step(model.params, grads_avg, cfg.learning_rate * factor)
-            running_loss.append(batch_loss * scale)
-            running_cost.append(batch_cost * scale)
-            step += 1
-
-            if step % eval_interval == 0 or step == total_steps:
-                val_rouge, val_cost = _rouge_eval(model, val_examples, cfg, bank=bank, seed_tag=step)
-                log.append(
-                    LogRow(step, "train", float(np.mean(running_loss)), 0.0, float(np.mean(running_cost)))
-                )
-                log.append(LogRow(step, "val", 0.0, val_rouge, val_cost))
-                running_loss, running_cost = [], []
-                if val_rouge > best_metric:
-                    best_metric = val_rouge
-                    best_ctrl = {k: v.copy() for k, v in bank.params.items()}
-                    best_backbone = {k: v.copy() for k, v in model.params.items()}
-                    evals_since_best = 0
-                else:
-                    evals_since_best += 1
-                    if evals_since_best > cfg.patience:
-                        stop = True
-                        break
-        if stop:
-            break
-
-    bank.params = best_ctrl
-    model.params = best_backbone
-    return ControllerTrainResult(best_metric=best_metric, log=log)
+        groups.append((model.params, cfg.learning_rate))
+    return _fit(model, bank, train_examples, val_examples, cfg, data_rng, lambda: sequence_step, groups)

@@ -166,14 +166,19 @@ def test_rerun_of_corpus_and_train_is_byte_identical(run_dir, tmp_path):
     config = run_dir / "tiny.ini"
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     for out in (out_a, out_b):
-        assert main(["gen-corpus", "--config", str(config), "--out", str(out), "--seed", "0"]) == 0
-        assert main(["train", "--config", str(config), "--out", str(out), "--seed", "0"]) == 0
+        for cmd in ("gen-corpus", "train", "train-controllers"):
+            assert main([cmd, "--config", str(config), "--out", str(out), "--seed", "0"]) == 0
+    runs = sorted(p.name for p in (out_a / "controllers").iterdir() if p.is_dir())
+    assert runs == ["hidden_a4"]
     for rel in (
         "corpus/corpus.jsonl",
         "corpus/manifest.json",
         "checkpoints/backbone/weights.bin",
         "checkpoints/train_log.csv",
         "checkpoints/manifest.json",
+        *(f"controllers/{run}/{name}" for run in runs for name in ("checkpoint/weights.bin", "train_log.csv")),
+        "controllers/sweep_summary.csv",
+        "controllers/skip_ratios.csv",
     ):
         assert (out_a / rel).read_bytes() == (out_b / rel).read_bytes(), rel
 

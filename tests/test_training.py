@@ -178,17 +178,17 @@ def test_layerdrop_dropped_layer_gradients_zero():
 
 
 def test_training_reproducible_same_seed():
-    results = []
+    results, models = [], []
     for _ in range(2):
         model = DecoderModel(CFG, init_params(CFG, seed=7))
-        result = finetune(model, TRAIN, VAL, quick_cfg())
-        results.append(result)
+        results.append(finetune(model, TRAIN, VAL, quick_cfg()))
+        models.append(model)
     log_a, log_b = results[0].log, results[1].log
     assert [(r.step, r.split, r.loss, r.rouge_l) for r in log_a] == [
         (r.step, r.split, r.loss, r.rouge_l) for r in log_b
     ]
-    for name in results[0].best_params:
-        assert np.array_equal(results[0].best_params[name], results[1].best_params[name])
+    for name in models[0].params:
+        assert np.array_equal(models[0].params[name], models[1].params[name])
 
 
 def test_early_stopping_within_patience():
@@ -206,6 +206,28 @@ def test_divergence_aborts_with_step_index():
     with pytest.raises(TrainingDiverged) as err:
         finetune(model, TRAIN, VAL, quick_cfg())
     assert err.value.step == 0
+
+
+def _falling_rouge(monkeypatch, snapshots, params_of):
+    """Make every eval score lower than the one before, recording the
+    parameters each eval sees."""
+
+    def falling(model, examples, cfg, key, bank=None):
+        snapshots.append({k: v.copy() for k, v in params_of(model, bank).items()})
+        return [1.0 / len(snapshots)], [1.0]
+
+    monkeypatch.setattr(training, "rouge_eval", falling)
+
+
+def test_finetune_restores_the_first_evals_parameters(monkeypatch):
+    snapshots = []
+    _falling_rouge(monkeypatch, snapshots, lambda model, bank: model.params)
+    model = DecoderModel(CFG, init_params(CFG, seed=19))
+    result = finetune(model, TRAIN, VAL, quick_cfg(max_epochs=3, eval_every=0.5, patience=5))
+    assert len(snapshots) == 6 and result.best_metric == 1.0
+    assert any(not np.array_equal(snapshots[-1][n], snapshots[0][n]) for n in model.params)
+    for name in model.params:
+        assert np.array_equal(model.params[name], snapshots[0][name]), name
 
 
 def _bank(model_cfg, seed=0, mode=InputMode.HIDDEN_STATE):
@@ -231,6 +253,28 @@ def test_joint_training_updates_backbone():
     train_controllers(model, bank, TRAIN, VAL, cfg, alpha=2.0)
     changed = any(not np.array_equal(model.params[n], before[n]) for n in before)
     assert changed
+
+
+def test_controller_divergence_aborts_with_step_index():
+    model = DecoderModel(CFG, init_params(CFG, seed=9))
+    model.params["head.w"] = model.params["head.w"] * np.nan
+    with pytest.raises(TrainingDiverged) as err:
+        train_controllers(model, _bank(CFG), TRAIN, VAL, quick_cfg(), alpha=2.0)
+    assert err.value.step == 0
+
+
+def test_train_controllers_restores_the_first_evals_parameters(monkeypatch):
+    snapshots = []
+    _falling_rouge(monkeypatch, snapshots, lambda model, bank: {**model.params, **bank.params})
+    model = DecoderModel(CFG, init_params(CFG, seed=20))
+    bank = _bank(CFG, seed=3)
+    cfg = quick_cfg(max_epochs=3, eval_every=0.5, patience=5, learning_rate=0.05)
+    result = train_controllers(model, bank, TRAIN, VAL, cfg, alpha=2.0)
+    assert len(snapshots) == 6 and result.best_metric == 1.0
+    assert any(not np.array_equal(snapshots[-1][n], snapshots[0][n]) for n in bank.params)
+    assert any(not np.array_equal(snapshots[-1][n], snapshots[0][n]) for n in model.params)
+    for name, value in {**model.params, **bank.params}.items():
+        assert np.array_equal(value, snapshots[0][name]), name
 
 
 def test_huge_alpha_collapses_cost_to_floor():
