@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -22,6 +23,7 @@ from .experiment import (
 )
 
 
+@functools.cache  # built once per process; stages called in-process reuse it
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="depthlab",
@@ -56,9 +58,13 @@ def _parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--budget-grid", type=str, default=None, help="comma-separated budgets")
 
-    p = sub.add_parser("chi2", help="label-length homogeneity test of the oracle assignment")
+    p = sub.add_parser(
+        "chi2",
+        help="label-length homogeneity test of the oracle assignment "
+        "(reads oracle/score_matrix.csv: run `oracle` first, also with --beta)",
+    )
     common(p)
-    p.add_argument("--beta", type=float, default=None, help="budget (defaults to the parity point)")
+    p.add_argument("--beta", type=float, default=None, help="budget (defaults to the oracle's assignment budget)")
 
     common(sub.add_parser("report", help="merge stage outputs into plot-ready tables"))
     return parser

@@ -33,6 +33,7 @@ from .model import DecoderModel, ModelConfig, init_params
 from .oracle import (
     chi2_to_json,
     chi_square_homogeneity,
+    score_matrix_from_csv,
     score_matrix_from_prediction_sets,
     score_matrix_to_csv,
     solve_exact,
@@ -589,14 +590,20 @@ def stage_oracle(cfg: ExperimentConfig, out: Path, budgets: Sequence[float] | No
 
 
 def stage_chi2(cfg: ExperimentConfig, out: Path, beta: float | None = None) -> Path:
+    """Chi-square test of the exact assignment at `beta` against label length.
+
+    Reads the score matrix the `oracle` stage wrote (`oracle/score_matrix.csv`,
+    which round-trips exactly), so it needs that stage even when `beta` is
+    given. Without `beta` it tests the budget of the oracle's assignment.
+    """
     stage = _start_stage(out, "chi2", cfg)
-    files = _prediction_files(out)
-    matrix = score_matrix_from_prediction_sets(files)
+    matrix_path = _require(out / "oracle" / "score_matrix.csv", "oracle")
+    matrix = score_matrix_from_csv(matrix_path)
+    inputs = [matrix_path]
     if beta is None:
-        # Test the assignment the oracle stage wrote.
         summary_path = _require(out / "oracle" / "summary.json", "oracle")
         beta = json.loads(summary_path.read_text())["assignment_beta"]
-        files.append(summary_path)
+        inputs.append(summary_path)
     assignment = solve_exact(matrix, beta)
     result = chi_square_homogeneity(
         assignment,
@@ -605,7 +612,7 @@ def stage_chi2(cfg: ExperimentConfig, out: Path, beta: float | None = None) -> P
         num_bins=cfg.getint("oracle", "num_bins"),
     )
     chi2_to_json(result, stage / f"chi2_beta{beta:g}.json")
-    write_stage_manifest(stage, "chi2", cfg, out, inputs=files)
+    write_stage_manifest(stage, "chi2", cfg, out, inputs=inputs)
     return stage
 
 

@@ -222,7 +222,6 @@ class GenerationResult:
     trace: HiddenTrace
     cache: KVCache
     step_masks: list[tuple[int, ...]]
-    step_probs: list[np.ndarray]
 
     @property
     def step_costs(self) -> list[int]:
@@ -383,7 +382,6 @@ class DecoderModel:
 
         generated: list[int] = []
         step_masks: list[tuple[int, ...]] = []
-        step_probs: list[np.ndarray] = []
         previous_mask: RouteMask | None = None
         tokens = prompt
         for _ in range(max_new):
@@ -403,14 +401,12 @@ class DecoderModel:
                 gate = _mask_gate(previous_mask.bits)
             result = self.step(next_id, pos, gate, cache, trace)
             step_masks.append(result.bits)
-            step_probs.append(result.probs)
         return GenerationResult(
             prompt_ids=prompt,
             generated_ids=generated,
             trace=trace,
             cache=cache,
             step_masks=step_masks,
-            step_probs=step_probs,
         )
 
     def replay_tokens(

@@ -355,33 +355,66 @@ def chi_square_homogeneity(
 
 # ---------------------------------------------------------------------------
 # File formats
+#
+# The score matrix CSV round-trips exactly: every score is written as the
+# shortest string that parses back to the same float64, so the `chi2` stage
+# reads the `oracle` stage's matrix and solves on the same numbers.
 # ---------------------------------------------------------------------------
 
 
+def _score_matrix_header(costs: Sequence[int]) -> list[str]:
+    return ["id", "label_len"] + [name for c in costs for name in (f"cost_{c}", f"score_{c}")]
+
+
 def score_matrix_to_csv(matrix: ScoreMatrix, path: str | Path) -> None:
-    header = ["id", "label_len"]
-    for c in matrix.costs:
-        header += [f"cost_{c}", f"score_{c}"]
+    """One row per sequence: id, label length, then a (cost, score) pair per
+    model column, each score as its shortest round-trip float."""
+    row: list = [None, None] + [x for c in matrix.costs for x in (c, 0.0)]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(header)
-        for i in range(matrix.n):
-            row: list = [matrix.ids[i], matrix.label_lengths[i]]
-            for j, c in enumerate(matrix.costs):
-                row += [c, f"{matrix.scores[i, j]:.6f}"]
+        writer.writerow(_score_matrix_header(matrix.costs))
+        for seq_id, length, scores in zip(matrix.ids, matrix.label_lengths, matrix.scores.tolist()):
+            row[0], row[1] = seq_id, length
+            row[3::2] = scores
             writer.writerow(row)
 
 
 def score_matrix_from_csv(path: str | Path) -> ScoreMatrix:
+    """Read a score matrix written by `score_matrix_to_csv`. Raises
+    ValueError, naming the line, on a malformed header, a short or long row,
+    a cost cell that differs from its column's cost, a repeated id or a
+    number that does not parse."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        costs = [int(name.split("_", 1)[1]) for name in header[2::2]]
-        ids, lengths, rows = [], [], []
+        header = next(reader, [])
+        try:
+            costs = [int(name.removeprefix("cost_")) for name in header[2::2]]
+        except ValueError:
+            costs = []
+        if not costs or header != _score_matrix_header(costs):
+            raise ValueError(
+                f"{path}:1: header must be id,label_len then cost_<c>,score_<c> pairs, got {header}"
+            )
+        cost_cells = [str(c) for c in costs]
+        ids, lengths, rows, seen = [], [], [], set()
         for row in reader:
+            line = reader.line_num
+            if len(row) != len(header):
+                raise ValueError(f"{path}:{line}: {len(row)} cells, header has {len(header)}")
+            if row[2::2] != cost_cells:
+                j, cell = next((j, cell) for j, cell in enumerate(row[2::2]) if cell != cost_cells[j])
+                raise ValueError(f"{path}:{line}: cost cell {cell!r} under cost_{costs[j]}")
+            if row[0] in seen:
+                raise ValueError(f"{path}:{line}: duplicate id {row[0]}")
+            seen.add(row[0])
             ids.append(row[0])
-            lengths.append(int(row[1]))
-            rows.append([float(v) for v in row[3::2]])
+            try:
+                lengths.append(int(row[1]))
+                rows.append([float(v) for v in row[3::2]])
+            except ValueError as exc:
+                raise ValueError(f"{path}:{line}: {exc}") from None
+    if not rows:
+        raise ValueError(f"{path}: no sequences")
     return ScoreMatrix(ids=ids, label_lengths=lengths, costs=costs, scores=np.array(rows))
 
 

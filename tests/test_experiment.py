@@ -10,6 +10,7 @@ from depthlab import tokenizer
 from depthlab.checkpoint import load_checkpoint, save_checkpoint
 from depthlab.cli import main
 from depthlab.experiment import ExperimentConfig
+from depthlab.oracle import chi2_to_json, chi_square_homogeneity, score_matrix_from_prediction_sets, solve_exact
 
 TINY_CONFIG = """\
 [model]
@@ -299,6 +300,43 @@ def test_chi2_tests_the_assignment_the_oracle_wrote(tmp_path, capsys):
     # An explicit budget is tested as given.
     assert main(["chi2", "--out", str(out), "--beta", "4"]) == 0
     assert (out / "chi2" / "chi2_beta4.json").exists()
+
+
+def test_chi2_reads_the_oracle_score_matrix_not_the_prediction_sets(tmp_path):
+    out = tmp_path / "out"
+    pred = out / "predictions"
+    pred.mkdir(parents=True)
+    rng = np.random.default_rng(4)
+    n, costs = 40, (2, 4, 8)
+    label_len = rng.integers(1, 41, size=n)
+    # Columns of a row differ by less than 1e-6, so a score matrix written
+    # to six decimals would tie them all and move every row to cost 2.
+    scores = rng.integers(0, 1000, size=n)[:, None] / 1000 + rng.uniform(0, 1e-7, size=(n, len(costs)))
+    for j, cost in enumerate(costs):
+        with open(pred / f"uls_c{cost}.jsonl", "w") as fh:
+            for i in range(n):
+                rec = {"id": f"s{i:03d}", "cost": cost, "text": "", "label_len": int(label_len[i]),
+                       "rouge_l": float(scores[i, j])}
+                fh.write(json.dumps(rec) + "\n")
+    matrix = score_matrix_from_prediction_sets(sorted(pred.glob("uls_c*.jsonl")))
+
+    assert main(["oracle", "--out", str(out), "--budget-grid", "4"]) == 0
+    shutil.rmtree(pred)
+    assert main(["chi2", "--out", str(out)]) == 0
+
+    cfg = ExperimentConfig.load(None)
+    assignment = solve_exact(matrix, 4.0)
+    assert len(set(assignment.chosen_costs)) > 1
+    expected = chi_square_homogeneity(
+        assignment,
+        matrix.label_lengths,
+        bin_width=cfg.getint("oracle", "bin_width"),
+        num_bins=cfg.getint("oracle", "num_bins"),
+    )
+    chi2_to_json(expected, tmp_path / "expected.json")
+    assert (out / "chi2" / "chi2_beta4.json").read_bytes() == (tmp_path / "expected.json").read_bytes()
+    manifest = json.loads((out / "chi2" / "manifest.json").read_text())
+    assert sorted(manifest["inputs"]) == ["oracle/score_matrix.csv", "oracle/summary.json"]
 
 
 def test_oracle_flags_a_degenerate_sweep(tmp_path, capsys):

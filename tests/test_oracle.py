@@ -440,14 +440,52 @@ def test_sweep_rejects_infeasible_budget():
 
 def test_score_matrix_csv_round_trip(tmp_path):
     rng = np.random.default_rng(11)
-    matrix = make_matrix(rng.uniform(size=(5, 2)).round(6), costs=[4, 8], label_lengths=[3, 7, 20, 40, 9])
+    matrix = make_matrix(rng.uniform(size=(5, 2)), costs=[4, 8], label_lengths=[3, 7, 20, 40, 9])
     path = tmp_path / "matrix.csv"
     score_matrix_to_csv(matrix, path)
     loaded = score_matrix_from_csv(path)
     assert loaded.costs == matrix.costs
     assert loaded.ids == matrix.ids
     assert loaded.label_lengths == matrix.label_lengths
-    np.testing.assert_allclose(loaded.scores, matrix.scores, atol=1e-6)
+    assert np.array_equal(loaded.scores, matrix.scores)
+
+
+def _bad_score_csv(tmp_path, lines):
+    path = tmp_path / "matrix.csv"
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def test_score_matrix_csv_rejects_a_bad_header(tmp_path):
+    for header in (
+        "id,label_len,cost_4,score_8",
+        "id,len,cost_4,score_4",
+        "id,label_len,cost_4",
+        "id,label_len",
+        "id,label_len,cost_x,score_x",
+    ):
+        path = _bad_score_csv(tmp_path, [header, "s0,3,4,0.5"])
+        with pytest.raises(ValueError, match=r"matrix\.csv:1: header"):
+            score_matrix_from_csv(path)
+
+
+def test_score_matrix_csv_rejects_a_row_of_the_wrong_length(tmp_path):
+    path = _bad_score_csv(tmp_path, ["id,label_len,cost_4,score_4", "s0,3,4,0.5", "s1,3,4"])
+    with pytest.raises(ValueError, match=r"matrix\.csv:3: 3 cells, header has 4"):
+        score_matrix_from_csv(path)
+
+
+def test_score_matrix_csv_rejects_a_cost_cell_off_its_header(tmp_path):
+    header = "id,label_len,cost_4,score_4,cost_8,score_8"
+    path = _bad_score_csv(tmp_path, [header, "s0,3,4,0.5,8,0.7", "s1,3,4,0.5,6,0.7"])
+    with pytest.raises(ValueError, match=r"matrix\.csv:3: cost cell '6' under cost_8"):
+        score_matrix_from_csv(path)
+
+
+def test_score_matrix_csv_rejects_a_repeated_id(tmp_path):
+    path = _bad_score_csv(tmp_path, ["id,label_len,cost_4,score_4", "s0,3,4,0.5", "s1,3,4,0.5", "s0,5,4,0.25"])
+    with pytest.raises(ValueError, match=r"matrix\.csv:4: duplicate id s0"):
+        score_matrix_from_csv(path)
 
 
 def _assignment(chosen_costs, all_costs):
