@@ -11,7 +11,7 @@ from typing import Sequence
 import numpy as np
 
 from .autodiff import Graph, Tensor, _softmax_forward
-from .model import DecoderModel, GateFn, ModelConfig
+from .model import GateFn, ModelConfig
 
 SKIP, EXECUTE = 0, 1
 
@@ -144,50 +144,3 @@ def build_controller_loss(
         cost_mean = g.reduce_sum(g.multiply(acc, g.leaf(token_weights)))
         return g.add(kl_mean, g.scale(cost_mean, alpha))
     return kl_mean
-
-
-@dataclass
-class SkipRatioRow:
-    alpha: float
-    input_mode: str
-    skip_fraction: dict[int, float]
-    steps: int
-
-
-def skip_ratio_report(
-    model: DecoderModel,
-    bank: ControllerBank,
-    prompts: Sequence[Sequence[int]],
-    alpha: float,
-    max_new: int = 32,
-    seed: int = 0,
-) -> SkipRatioRow:
-    """Fraction of generated-token steps where each controlled layer's gate
-    chose skip, measured by running controller-routed generation without an
-    EOS stop: every prompt contributes exactly max_new steps, which keeps the
-    measurement well-defined even when generations end immediately."""
-    if len(prompts) == 0:
-        raise ValueError("empty corpus")
-    counts = {l: 0 for l in bank.layers}
-    steps = 0
-    for i, prompt in enumerate(prompts):
-        res = model.generate(
-            prompt,
-            gate_fn_factory=bank.gate_fn,
-            max_new=max_new,
-            rng_seed=int(np.random.default_rng((seed, i)).integers(2**31)),
-            eos_id=None,
-        )
-        for bits in res.step_masks:
-            steps += 1
-            for l in bank.layers:
-                if bits[l - 1] == 0:
-                    counts[l] += 1
-    if steps == 0:
-        raise ValueError("no generated steps to measure")
-    return SkipRatioRow(
-        alpha=alpha,
-        input_mode=bank.input_mode.value,
-        skip_fraction={l: counts[l] / steps for l in bank.layers},
-        steps=steps,
-    )

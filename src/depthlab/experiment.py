@@ -25,7 +25,6 @@ from .controller import (
     InputMode,
     controlled_layers,
     init_controller_params,
-    skip_ratio_report,
 )
 from .corpus import CorpusSpec, Example, gen_corpus, read_jsonl, split_corpus, write_jsonl
 from .metrics import mean_ci, rouge_l_text
@@ -43,7 +42,7 @@ from .oracle import (
 )
 from .probe import compare_strategies, probe, ranking_to_csv, similarity_to_csv
 from .routing import RoutePlan
-from .training import TrainConfig, finetune, rouge_eval, train_controllers, write_log_csv
+from .training import TrainConfig, finetune, mean_cost, rouge_eval, train_controllers, write_log_csv
 
 DEFAULTS: dict[str, dict[str, str]] = {
     "run": {"seed": "0"},
@@ -156,6 +155,10 @@ class ExperimentConfig:
                         raise ValueError(f"unknown config key {key!r} in [{section}]")
                     sections[section][key] = value
         cfg = ExperimentConfig(sections)
+        for section, values in DEFAULTS.items():
+            for key, default in values.items():
+                if default in ("true", "false"):
+                    cfg.getbool(section, key)  # a misspelled boolean fails before any stage runs
         if cfg.getint("controllers", "eval_sequences") < 2:
             # the controller sweep reports a confidence interval over them
             raise ValueError("[controllers] eval_sequences must be >= 2")
@@ -175,7 +178,11 @@ class ExperimentConfig:
         return float(self.get(section, key))
 
     def getbool(self, section: str, key: str) -> bool:
-        return self.get(section, key).strip().lower() in ("1", "true", "yes", "on")
+        value = self.get(section, key)
+        state = configparser.ConfigParser.BOOLEAN_STATES.get(value.strip().lower())
+        if state is None:
+            raise ValueError(f"[{section}] {key} must be true/false, yes/no, on/off or 1/0, got {value!r}")
+        return state
 
     @property
     def seed(self) -> int:
@@ -215,7 +222,7 @@ class ExperimentConfig:
             eval_max_new=self.getint("train", "eval_max_new"),
         )
 
-    def controller_train_config(self, freeze: bool | None = None) -> TrainConfig:
+    def controller_train_config(self) -> TrainConfig:
         return TrainConfig(
             learning_rate=self.getfloat("controllers", "learning_rate"),
             controller_learning_rate=self.getfloat("controllers", "controller_learning_rate"),
@@ -224,7 +231,7 @@ class ExperimentConfig:
             patience=self.getint("controllers", "patience"),
             eval_every=self.getfloat("controllers", "eval_every"),
             seed=self.seed,
-            freeze_backbone=self.getbool("controllers", "freeze_backbone") if freeze is None else freeze,
+            freeze_backbone=self.getbool("controllers", "freeze_backbone"),
             max_eval_sequences=self.getint("controllers", "eval_sequences"),
             eval_max_new=self.getint("generate", "max_new"),
         )
@@ -369,21 +376,23 @@ def _backbone_input_files(out: Path) -> list[Path]:
     return [base / "config.json", base / "manifest.json", base / "weights.bin"]
 
 
-def stage_train_controllers(
-    cfg: ExperimentConfig,
-    out: Path,
-    alphas: Sequence[float] | None = None,
-    modes: Sequence[InputMode] | None = None,
-    freeze_backbone: bool | None = None,
-) -> Path:
+def stage_train_controllers(cfg: ExperimentConfig, out: Path) -> Path:
+    """Train one gate bank per (input mode, alpha) and score it on the test
+    split. Each test prompt is decoded once per run; that one generation gives
+    its ROUGE-L and its realized execute bits. `sweep_summary.csv` has the
+    ROUGE-L mean and CI, and `mean_cost`, the mean over generations that took
+    a step of each one's mean executed layers per step (nan when none did).
+    `skip_ratios.csv` has, per controlled layer, the share of skipped steps
+    pooled over all steps of those generations (nan when none took a step).
+    Long generations weigh more in the pooled fractions than in the
+    per-generation mean, so L minus the summed skip fractions need not equal
+    `mean_cost`."""
     stage = _start_stage(out, "controllers", cfg)
-    alphas = list(alphas) if alphas is not None else cfg.alpha_grid()
-    modes = list(modes) if modes is not None else cfg.input_modes()
     train_examples = _load_split(out, "train")
     val_examples = _load_split(out, "val")
     test_examples = _load_split(out, "test")
     model_cfg = cfg.model_config()
-    tcfg = cfg.controller_train_config(freeze=freeze_backbone)
+    tcfg = cfg.controller_train_config()
     temperature = cfg.getfloat("controllers", "temperature")
     layers = controlled_layers(
         model_cfg,
@@ -391,10 +400,10 @@ def stage_train_controllers(
         exclude_last=cfg.getbool("controllers", "exclude_last"),
     )
 
-    summary_rows = []
-    ratio_rows = []
-    for mode_idx, mode in enumerate(modes):
-        for alpha in alphas:
+    summary_rows = [["input_mode", "alpha", "mean_cost", "rouge_l", "rouge_ci_low", "rouge_ci_high", "n", "empty"]]
+    ratio_rows = [["input_mode", "alpha", "layer", "skip_fraction"]]
+    for mode_idx, mode in enumerate(cfg.input_modes()):
+        for alpha in cfg.alpha_grid():
             model = _load_backbone(cfg, out)
             bank = ControllerBank(
                 model_cfg,
@@ -421,55 +430,26 @@ def stage_train_controllers(
             write_log_csv(result.log, run_dir / "train_log.csv")
 
             key = (cfg.seed, 11, mode_idx, int(alpha * 10))
-            scores, costs = rouge_eval(model, test_examples, tcfg, key, bank=bank)
+            scores, bits = rouge_eval(model, test_examples, tcfg, key, bank=bank)
             r_mean, r_half = mean_ci(scores)
             summary_rows.append(
-                {
-                    "input_mode": mode.value,
-                    "alpha": alpha,
-                    "mean_cost": float(np.mean(costs)) if costs else math.nan,
-                    "rouge_l": r_mean,
-                    "rouge_ci_low": r_mean - r_half,
-                    "rouge_ci_high": r_mean + r_half,
-                    "n": len(scores),
-                    "empty": len(scores) - len(costs),
-                }
-            )
-            prompts = [
-                tokenizer.encode(ex.prompt, add_bos=True)
-                for ex in test_examples[: tcfg.max_eval_sequences]
-            ]
-            row = skip_ratio_report(model, bank, prompts, alpha, max_new=tcfg.eval_max_new, seed=cfg.seed)
-            for layer, frac in sorted(row.skip_fraction.items()):
-                ratio_rows.append(
-                    {"input_mode": mode.value, "alpha": alpha, "layer": layer, "skip_fraction": frac}
-                )
-
-    with open(stage / "sweep_summary.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["input_mode", "alpha", "mean_cost", "rouge_l", "rouge_ci_low", "rouge_ci_high", "n", "empty"]
-        )
-        for row in summary_rows:
-            writer.writerow(
                 [
-                    row["input_mode"],
-                    f"{row['alpha']:g}",
-                    f"{row['mean_cost']:.4f}",
-                    f"{row['rouge_l']:.6f}",
-                    f"{row['rouge_ci_low']:.6f}",
-                    f"{row['rouge_ci_high']:.6f}",
-                    row["n"],
-                    row["empty"],
+                    mode.value,
+                    f"{alpha:g}",
+                    f"{mean_cost(bits):.4f}",
+                    f"{r_mean:.6f}",
+                    f"{r_mean - r_half:.6f}",
+                    f"{r_mean + r_half:.6f}",
+                    len(scores),
+                    sum(len(b) == 0 for b in bits),
                 ]
             )
-    with open(stage / "skip_ratios.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["input_mode", "alpha", "layer", "skip_fraction"])
-        for row in ratio_rows:
-            writer.writerow(
-                [row["input_mode"], f"{row['alpha']:g}", row["layer"], f"{row['skip_fraction']:.6f}"]
-            )
+            steps = np.concatenate(bits)
+            for layer in layers:
+                frac = (steps[:, layer - 1] == 0).mean() if len(steps) else math.nan
+                ratio_rows.append([mode.value, f"{alpha:g}", layer, f"{frac:.6f}"])
+    _write_csv(stage / "sweep_summary.csv", summary_rows)
+    _write_csv(stage / "skip_ratios.csv", ratio_rows)
 
     inputs = [out / "corpus" / f"{n}.jsonl" for n in ("train", "val", "test")]
     inputs += _backbone_input_files(out)
@@ -477,11 +457,11 @@ def stage_train_controllers(
     return stage
 
 
-def stage_generate(cfg: ExperimentConfig, out: Path, costs: Sequence[int] | None = None) -> Path:
+def stage_generate(cfg: ExperimentConfig, out: Path) -> Path:
     stage = _start_stage(out, "predictions", cfg)
     model = _load_backbone(cfg, out)
     test_examples = _load_split(out, "test")
-    costs = sorted(set(costs)) if costs is not None else cfg.generate_costs()
+    costs = cfg.generate_costs()
     max_new = cfg.getint("generate", "max_new")
     L = model.cfg.num_layers
 
@@ -510,12 +490,7 @@ def stage_generate(cfg: ExperimentConfig, out: Path, costs: Sequence[int] | None
     return stage
 
 
-def stage_probe(
-    cfg: ExperimentConfig,
-    out: Path,
-    strategies: Sequence[RoutePlan] | None = None,
-    costs: Sequence[int] | None = None,
-) -> Path:
+def stage_probe(cfg: ExperimentConfig, out: Path) -> Path:
     stage = _start_stage(out, "probe", cfg)
     model = _load_backbone(cfg, out)
     test_examples = _load_split(out, "test")
@@ -523,13 +498,11 @@ def stage_probe(
     prompts = [
         tokenizer.encode(ex.prompt, add_bos=True) for ex in test_examples[:max_sequences]
     ]
-    if strategies is None:
-        strategies = parse_strategies(cfg.get("routing", "strategies"), model.cfg.num_layers)
     report = probe(
         model,
         prompts,
-        strategies,
-        costs if costs is not None else cfg.cost_grid(),
+        parse_strategies(cfg.get("routing", "strategies"), model.cfg.num_layers),
+        cfg.cost_grid(),
         seed=cfg.seed,
         max_new=cfg.getint("probe", "max_new"),
         stop_at_eos=cfg.getbool("probe", "stop_at_eos"),
@@ -549,12 +522,11 @@ def _prediction_files(out: Path) -> list[Path]:
     return files
 
 
-def stage_oracle(cfg: ExperimentConfig, out: Path, budgets: Sequence[float] | None = None) -> Path:
+def stage_oracle(cfg: ExperimentConfig, out: Path) -> Path:
     stage = _start_stage(out, "oracle", cfg)
     files = _prediction_files(out)
     matrix = score_matrix_from_prediction_sets(files)
-    budgets = list(budgets) if budgets is not None else cfg.budget_grid()
-    budgets = [b for b in budgets if b >= min(matrix.costs)]
+    budgets = [b for b in cfg.budget_grid() if b >= min(matrix.costs)]
     result = sweep(matrix, budgets)
     score_matrix_to_csv(matrix, stage / "score_matrix.csv")
     sweep_to_csv(result, stage / "sweep.csv")
@@ -632,14 +604,14 @@ def _read_csv(path: Path) -> list[dict[str, str]]:
         return list(csv.DictReader(fh))
 
 
+def _write_csv(path: Path, rows: Sequence[Sequence]) -> None:
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+
+
 def _copy_columns(src: Path, dst: Path, columns: Sequence[str]) -> None:
     """Write the named columns of a CSV, in that order, to a new CSV."""
-    rows = _read_csv(src)
-    with open(dst, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([row[c] for c in columns])
+    _write_csv(dst, [columns] + [[row[c] for c in columns] for row in _read_csv(src)])
 
 
 def stage_report(cfg: ExperimentConfig, out: Path) -> Path:

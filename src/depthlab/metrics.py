@@ -37,12 +37,11 @@ def lcs_length(a: Sequence, b: Sequence) -> int:
     return prev[n]
 
 
-def rouge_l(candidate: Sequence, reference: Sequence, beta: float = 1.0) -> RougeScore:
+def rouge_l(candidate: Sequence, reference: Sequence) -> RougeScore:
     """LCS-based ROUGE-L over token sequences.
 
-    P = LCS/|candidate|, R = LCS/|reference|; F is the beta-weighted harmonic
-    mean (beta=1 by default; pass a larger beta for the recall-weighted
-    variant). Empty candidate or reference yields all zeros.
+    P = LCS/|candidate|, R = LCS/|reference|; F is their harmonic mean (F1).
+    Empty candidate or reference yields all zeros.
     """
     if len(candidate) == 0 or len(reference) == 0:
         return RougeScore(0.0, 0.0, 0.0)
@@ -51,9 +50,7 @@ def rouge_l(candidate: Sequence, reference: Sequence, beta: float = 1.0) -> Roug
     r = lcs / len(reference)
     if p + r == 0:
         return RougeScore(p, r, 0.0)
-    b2 = beta * beta
-    f = (1 + b2) * p * r / (r + b2 * p)
-    return RougeScore(p, r, f)
+    return RougeScore(p, r, 2 * p * r / (r + p))
 
 
 def tokenize_for_rouge(text: str) -> list[str]:
@@ -65,9 +62,9 @@ def tokenize_for_rouge(text: str) -> list[str]:
     return tokens
 
 
-def rouge_l_text(candidate: str, reference: str, beta: float = 1.0) -> RougeScore:
+def rouge_l_text(candidate: str, reference: str) -> RougeScore:
     """ROUGE-L on raw strings using the shared whitespace tokenization."""
-    return rouge_l(tokenize_for_rouge(candidate), tokenize_for_rouge(reference), beta=beta)
+    return rouge_l(tokenize_for_rouge(candidate), tokenize_for_rouge(reference))
 
 
 def cosine(u: np.ndarray, v: np.ndarray) -> float | np.ndarray:

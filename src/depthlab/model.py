@@ -223,10 +223,6 @@ class GenerationResult:
     cache: KVCache
     step_masks: list[tuple[int, ...]]
 
-    @property
-    def step_costs(self) -> list[int]:
-        return [sum(m) for m in self.step_masks]
-
 
 def _mask_gate(bits: Sequence[int]) -> GateFn:
     return lambda layer, _h: bits[layer - 1]

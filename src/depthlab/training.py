@@ -174,14 +174,14 @@ def rouge_eval(
     cfg: TrainConfig,
     key: tuple[int, ...],
     bank: ControllerBank | None = None,
-) -> tuple[list[float], list[float]]:
+) -> tuple[list[float], list[np.ndarray]]:
     """Greedy generations for the first cfg.max_eval_sequences examples,
     gated by `bank` when given. Returns each one's ROUGE-L F against its
-    label, and the mean realized per-step cost of each generation that took
-    at least one step. Generation i draws its gates from a seed derived from
-    (*key, i)."""
+    label, and each one's realized execute bits: a (steps, L) 0/1 array with
+    one row per decode step taken (zero rows when the first token is EOS).
+    Generation i draws its gates from a seed derived from (*key, i)."""
     scores: list[float] = []
-    costs: list[float] = []
+    bits: list[np.ndarray] = []
     for i, ex in enumerate(examples[: cfg.max_eval_sequences]):
         res = model.generate(
             tokenizer.encode(ex.prompt, add_bos=True),
@@ -190,9 +190,15 @@ def rouge_eval(
             rng_seed=int(np.random.default_rng((*key, i)).integers(2**31)),
         )
         scores.append(rouge_l_text(tokenizer.decode(res.generated_ids), ex.label).f)
-        if res.step_costs:
-            costs.append(float(np.mean(res.step_costs)))
-    return scores, costs
+        bits.append(np.asarray(res.step_masks, dtype=np.int64).reshape(-1, model.cfg.num_layers))
+    return scores, bits
+
+
+def mean_cost(bits: Sequence[np.ndarray]) -> float:
+    """Mean over generations that took a step of each one's mean executed
+    layers per step; nan when none took a step."""
+    costs = [b.sum(axis=1).mean() for b in bits if len(b)]
+    return float(np.mean(costs)) if costs else math.nan
 
 
 def _schedule_factor(cfg: TrainConfig, step: int, total_steps: int) -> float:
@@ -266,12 +272,10 @@ def _fit(
         step += 1
 
         if step % eval_interval == 0 or step == total_steps:
-            scores, costs = rouge_eval(model, val_examples, cfg, (cfg.seed, 7, step), bank=bank)
+            scores, bits = rouge_eval(model, val_examples, cfg, (cfg.seed, 7, step), bank=bank)
             val_rouge = float(np.mean(scores))
-            if bank is None:
-                val_cost = float(model.cfg.num_layers)  # the full model runs every layer
-            else:
-                val_cost = float(np.mean(costs)) if costs else math.nan
+            # the full model runs every layer, also on generations that took no step
+            val_cost = float(model.cfg.num_layers) if bank is None else mean_cost(bits)
             log.append(LogRow(step, "train", float(np.mean(running_loss)), 0.0, float(np.mean(running_cost))))
             log.append(LogRow(step, "val", 0.0, val_rouge, val_cost))
             running_loss, running_cost = [], []

@@ -10,7 +10,6 @@ from depthlab.controller import (
     controlled_layers,
     gate_sample,
     init_controller_params,
-    skip_ratio_report,
 )
 from depthlab.model import DecoderModel, ModelConfig, init_params
 
@@ -158,37 +157,6 @@ def test_gate_fn_forces_uncontrolled_layers():
     assert fn(4, h) == 1
     assert fn(2, h) == 0
     assert fn(3, h) == 0
-
-
-def _saturated_bank(execute: bool) -> ControllerBank:
-    params = init_controller_params(CFG, [2, 3], seed=5)
-    sign = 1.0 if execute else -1.0
-    for l in (2, 3):
-        params[f"controller.layer{l}.w"][:] = 0.0
-        params[f"controller.layer{l}.b"][:] = [-50.0 * sign, 50.0 * sign]
-    return ControllerBank(CFG, params)
-
-
-def test_skip_ratio_report_saturated_execute():
-    model = DecoderModel(CFG, init_params(CFG, seed=6))
-    prompts = [[1, 2, 3], [4, 5]]
-    row = skip_ratio_report(model, _saturated_bank(execute=True), prompts, alpha=2.0, max_new=6, seed=0)
-    assert row.skip_fraction == {2: 0.0, 3: 0.0}
-    assert row.steps == 2 * 6  # no EOS stop: every prompt decodes max_new tokens
-
-
-def test_skip_ratio_report_saturated_skip():
-    model = DecoderModel(CFG, init_params(CFG, seed=6))
-    prompts = [[1, 2, 3], [4, 5]]
-    row = skip_ratio_report(model, _saturated_bank(execute=False), prompts, alpha=2.0, max_new=6, seed=0)
-    assert row.skip_fraction == {2: 1.0, 3: 1.0}
-    assert row.steps == 2 * 6  # no EOS stop: every prompt decodes max_new tokens
-
-
-def test_skip_ratio_report_rejects_empty_corpus():
-    model = DecoderModel(CFG, init_params(CFG, seed=6))
-    with pytest.raises(ValueError, match="empty corpus"):
-        skip_ratio_report(model, _saturated_bank(True), [], alpha=2.0)
 
 
 def test_straight_through_forward_is_binary_backward_finite():

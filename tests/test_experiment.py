@@ -7,10 +7,14 @@ import numpy as np
 import pytest
 
 from depthlab import tokenizer
-from depthlab.checkpoint import load_checkpoint, save_checkpoint
+from depthlab.checkpoint import load_checkpoint, save_checkpoint, split_controller_params
 from depthlab.cli import main
+from depthlab.controller import ControllerBank, InputMode
+from depthlab.corpus import read_jsonl
 from depthlab.experiment import ExperimentConfig
+from depthlab.model import DecoderModel
 from depthlab.oracle import chi2_to_json, chi_square_homogeneity, score_matrix_from_prediction_sets, solve_exact
+from depthlab.training import mean_cost, rouge_eval
 
 TINY_CONFIG = """\
 [model]
@@ -161,6 +165,31 @@ def test_all_empty_controller_sweep_reports_nan_cost(run_dir, tmp_path):
     assert [(r["empty"], r["n"], r["mean_cost"]) for r in rows] == [("4", "4", "nan")]
     log = list(csv.DictReader((out / "controllers" / "hidden_a4" / "train_log.csv").read_text().splitlines()))
     assert [r["mean_cost"] for r in log if r["split"] == "val"] == ["nan"] * 3
+    ratios = list(csv.DictReader((out / "controllers" / "skip_ratios.csv").read_text().splitlines()))
+    assert [(r["layer"], r["skip_fraction"]) for r in ratios] == [("2", "nan"), ("3", "nan")]
+
+
+def test_skip_ratios_come_from_the_scored_test_generations(run_dir):
+    # Rebuild the run's checkpoint and redo the stage's one test-split
+    # evaluation: its realized bits, pooled over steps, are skip_ratios.csv.
+    out = run_dir / "out"
+    cfg = ExperimentConfig.load(run_dir / "tiny.ini", seed=0)
+    model_cfg, params, _ = load_checkpoint(out / "controllers" / "hidden_a4" / "checkpoint")
+    backbone, ctrl = split_controller_params(params)
+    bank = ControllerBank(model_cfg, ctrl, input_mode=InputMode.HIDDEN_STATE)
+    test = read_jsonl(out / "corpus" / "test.jsonl")
+    scores, bits = rouge_eval(
+        DecoderModel(model_cfg, backbone), test, cfg.controller_train_config(), (0, 11, 0, 40), bank=bank
+    )
+    steps = np.concatenate(bits)
+    assert len(steps) > 0
+    expected = [("hidden", "4", str(l), f"{(steps[:, l - 1] == 0).mean():.6f}") for l in bank.layers]
+    ratios = list(csv.DictReader((out / "controllers" / "skip_ratios.csv").read_text().splitlines()))
+    assert [(r["input_mode"], r["alpha"], r["layer"], r["skip_fraction"]) for r in ratios] == expected
+    (summary,) = csv.DictReader((out / "controllers" / "sweep_summary.csv").read_text().splitlines())
+    assert summary["rouge_l"] == f"{np.mean(scores):.6f}"
+    assert summary["mean_cost"] == f"{mean_cost(bits):.4f}"
+    assert summary["empty"] == str(sum(len(b) == 0 for b in bits))
 
 
 def test_rerun_of_corpus_and_train_is_byte_identical(run_dir, tmp_path):
@@ -222,6 +251,16 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
         assert "unknown config key" in capsys.readouterr().err
 
 
+def test_misspelled_boolean_rejected(tmp_path, capsys):
+    bad = tmp_path / "bad.ini"
+    bad.write_text("[controllers]\nfreeze_backbone = ture\n")
+    assert main(["train-controllers", "--config", str(bad), "--out", str(tmp_path / "o")]) == 1
+    assert "[controllers] freeze_backbone must be true/false" in capsys.readouterr().err
+    for text, value in (("Yes", True), (" off ", False), ("1", True)):
+        bad.write_text(f"[controllers]\nfreeze_backbone = {text}\n")
+        assert ExperimentConfig.load(bad).controller_train_config().freeze_backbone is value
+
+
 def test_fewer_than_two_controller_eval_sequences_rejected(tmp_path, capsys):
     # the controller sweep's confidence interval needs two samples; the
     # config is refused before any stage trains
@@ -276,7 +315,9 @@ def test_chi2_tests_the_assignment_the_oracle_wrote(tmp_path, capsys):
 
     # A grid outside the config's, so a chi2 that re-derived the budget from
     # the config would test another assignment.
-    assert main(["oracle", "--out", str(out), "--budget-grid", "5.25,2.75"]) == 0
+    grid = tmp_path / "grid.ini"
+    grid.write_text("[oracle]\nbudget_grid = 5.25,2.75\n")
+    assert main(["oracle", "--config", str(grid), "--out", str(out)]) == 0
     summary = json.loads((out / "oracle" / "summary.json").read_text())
     beta = summary["assignment_beta"]
     assert beta == (summary["star_beta"] if summary["star_beta"] is not None else 5.25)
@@ -320,7 +361,9 @@ def test_chi2_reads_the_oracle_score_matrix_not_the_prediction_sets(tmp_path):
                 fh.write(json.dumps(rec) + "\n")
     matrix = score_matrix_from_prediction_sets(sorted(pred.glob("uls_c*.jsonl")))
 
-    assert main(["oracle", "--out", str(out), "--budget-grid", "4"]) == 0
+    grid = tmp_path / "grid.ini"
+    grid.write_text("[oracle]\nbudget_grid = 4\n")
+    assert main(["oracle", "--config", str(grid), "--out", str(out)]) == 0
     shutil.rmtree(pred)
     assert main(["chi2", "--out", str(out)]) == 0
 

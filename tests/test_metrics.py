@@ -77,13 +77,6 @@ def test_rouge_self_is_perfect_random_tokens():
         assert (score.precision, score.recall, score.f) == (1.0, 1.0, 1.0)
 
 
-def test_rouge_recall_weighted_variant():
-    score = rouge_l(list("ab"), list("abcd"), beta=1.2)
-    p, r = 1.0, 0.5
-    b2 = 1.44
-    assert score.f == pytest.approx((1 + b2) * p * r / (r + b2 * p))
-
-
 def test_tokenize_lowercases_and_strips_punctuation():
     assert tokenize_for_rouge("Hello,  World! -- ok") == ["hello,", "world!", "ok"]
     assert tokenize_for_rouge("...  ---") == []

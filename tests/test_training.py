@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from depthlab import training
+from depthlab import tokenizer, training
 from depthlab.autodiff import Graph, backpropagate, gradient_check
 from depthlab.controller import ControllerBank, GumbelConfig, InputMode, init_controller_params
 from depthlab.corpus import Example, tokenize_example
@@ -13,6 +13,8 @@ from depthlab.training import (
     controller_sequence_loss,
     draw_layerdrop,
     finetune,
+    mean_cost,
+    rouge_eval,
     sequence_loss_and_grads,
     train_controllers,
     _target_weights,
@@ -208,13 +210,50 @@ def test_divergence_aborts_with_step_index():
     assert err.value.step == 0
 
 
+def _saturated_bank(model_cfg, execute: bool) -> ControllerBank:
+    params = init_controller_params(model_cfg, [2, 3], seed=5)
+    sign = 1.0 if execute else -1.0
+    for l in (2, 3):
+        params[f"controller.layer{l}.w"][:] = 0.0
+        params[f"controller.layer{l}.b"][:] = [-50.0 * sign, 50.0 * sign]
+    return ControllerBank(model_cfg, params)
+
+
+def _model_with_eos_bias(seed: int, bias: float) -> DecoderModel:
+    params = init_params(CFG, seed=seed)
+    params["head.b"][tokenizer.EOS] = bias
+    return DecoderModel(CFG, params)
+
+
+@pytest.mark.parametrize("execute", [True, False])
+def test_rouge_eval_returns_the_realized_bits_of_each_step(execute):
+    # EOS never wins, so every generation takes eval_max_new steps.
+    model = _model_with_eos_bias(6, -1e3)
+    cfg = quick_cfg(max_eval_sequences=3)
+    scores, bits = rouge_eval(model, TRAIN, cfg, (0, 11), bank=_saturated_bank(CFG, execute))
+    assert len(scores) == len(bits) == 3
+    expected = np.array([1, int(execute), int(execute), 1])
+    for b in bits:
+        assert b.shape == (cfg.eval_max_new, CFG.num_layers)
+        assert (b == expected).all()
+    assert mean_cost(bits) == (4.0 if execute else 2.0)
+
+
+def test_rouge_eval_gives_no_rows_to_a_generation_that_takes_no_step():
+    model = _model_with_eos_bias(6, 1e3)
+    scores, bits = rouge_eval(model, TRAIN, quick_cfg(max_eval_sequences=3), (0, 11), bank=_saturated_bank(CFG, True))
+    assert scores == [0.0] * 3
+    assert [b.shape for b in bits] == [(0, CFG.num_layers)] * 3
+    assert np.isnan(mean_cost(bits))
+
+
 def _falling_rouge(monkeypatch, snapshots, params_of):
     """Make every eval score lower than the one before, recording the
     parameters each eval sees."""
 
     def falling(model, examples, cfg, key, bank=None):
         snapshots.append({k: v.copy() for k, v in params_of(model, bank).items()})
-        return [1.0 / len(snapshots)], [1.0]
+        return [1.0 / len(snapshots)], [np.ones((1, model.cfg.num_layers), dtype=np.int64)]
 
     monkeypatch.setattr(training, "rouge_eval", falling)
 
