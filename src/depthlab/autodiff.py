@@ -229,16 +229,18 @@ def _merge_heads(x: np.ndarray) -> np.ndarray:
     return x.transpose(1, 0, 2).reshape(x.shape[1], -1)
 
 
-def _attention_weights(q: np.ndarray, k: np.ndarray, num_heads: int) -> np.ndarray:
-    """(H, Tq, Tk) causal softmax weights for q (Tq, d) against k (Tk, d),
-    Tq <= Tk: query row i sits at position Tk - Tq + i and attends to keys
-    0..Tk - Tq + i. The one attention kernel of the package, called by
-    `_block_forward` once per query row block.
+def _attention_weights(q: np.ndarray, k: np.ndarray, num_heads: int, pos: np.ndarray | None = None) -> np.ndarray:
+    """(H, Tq, Tk) causal softmax weights for q (Tq, d) against k (Tk, d):
+    query row i sits at position pos[i] and attends to keys 0..pos[i]. By
+    default the rows are the last Tq positions, Tk - Tq + i. The one
+    attention kernel of the package, called by `_block_forward` once per
+    query row block.
 
     Works in one score buffer: scale, shift, exp and normalise in place. A
-    single row (a decode step) sees every key and takes no mask. Otherwise
-    the future half is masked and `exp` runs only over the attended keys
-    (exp of the masked -inf half takes numpy's slow underflow path)."""
+    single row (a decode step) is handed only the keys it sees and takes no
+    mask. Otherwise the future keys are masked and `exp` runs only over the
+    attended keys (exp of the masked -inf part takes numpy's slow underflow
+    path)."""
     tq, tk = q.shape[0], k.shape[0]
     w = _heads(q, num_heads) @ _heads(k, num_heads).transpose(0, 2, 1)
     w /= math.sqrt(q.shape[1] // num_heads)
@@ -246,7 +248,9 @@ def _attention_weights(q: np.ndarray, k: np.ndarray, num_heads: int) -> np.ndarr
         w -= w.max(axis=-1, keepdims=True)
         np.exp(w, out=w)
     else:
-        past = np.tri(tq, tk, tk - tq, dtype=bool)
+        if pos is None:
+            pos = np.arange(tk - tq, tk)
+        past = np.arange(tk) <= pos[:, None]
         future = ~past
         np.copyto(w, -np.inf, where=future)
         w -= w.max(axis=-1, keepdims=True)
@@ -286,41 +290,51 @@ def _block_forward(
     eps: float,
     kv: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None,
     keep: dict | None = None,
+    rows: np.ndarray | None = None,
 ) -> np.ndarray:
     """One pre-norm transformer block on the rows h (T, d): LN1, q/k/v,
     causal multi-head attention, wo, then LN2 and a GELU MLP, both with
     residuals. `params` are the layer's arrays in `BLOCK_PARAMS` order. The
-    only copy of the block: the model's decode, prefill and whole-sequence
-    forward and the tape's `block` node all call it.
+    only copy of the block: the model's decode, prefill, replay and
+    whole-sequence forward and the tape's `block` node all call it.
 
     Without `kv` the rows attend causally among themselves. With it they are
     the last T of Tk positions: `kv(k, v)` receives the rows' keys and values
     and returns the (Tk, d) keys and values to attend over (a cache appends
-    them and returns its rows). Queries attend in blocks of `_ROW_BLOCK` rows,
+    them and returns its rows). `rows`, an increasing index array into h,
+    selects the query rows: every row of h gives its keys and values, but
+    only the selected ones run q, attention, wo, LN2 and the MLP, each
+    attending to the keys up to its own position, and the result holds their
+    outputs (len(rows), d). Queries attend in blocks of `_ROW_BLOCK` rows,
     each against the keys up to its last row. `keep`, when given, receives
     the intermediates the tape's VJP reads, the (H, T, Tk) weights among
     them."""
     g1, c1, wq, wk, wv, wo, bq, bk, bv, bo, g2, c2, w1, b1, w2, b2 = params
     xhat, inv = _layer_norm_stats(h, eps)
     x = xhat * g1 + c1
-    q = x @ wq + bq
     k = x @ wk + bk
     v = x @ wv + bv
     keys, values = (k, v) if kv is None else kv(k, v)
-    # Query rows [a, b) sit at positions off + a .. off + b - 1 and see
-    # keys[:off + b]; each block's weights go straight into its rows of the
-    # (T, H, d_h) output.
+    off = keys.shape[0] - h.shape[0]
+    if rows is not None:
+        h, xq, pos = h[rows], x[rows], off + rows
+    else:
+        xq, pos = x, None
+    q = xq @ wq + bq
+    # Query row i sits at position off + i, or pos[i] when rows are
+    # selected, and sees keys up to there; each block's weights go straight
+    # into its rows of the (T, H, d_h) output.
     t = h.shape[0]
-    off = keys.shape[0] - t
     vh = _heads(values, num_heads)
     attn = np.empty((t, num_heads, vh.shape[2]))
     weights = None if keep is None else np.zeros((num_heads, t, keys.shape[0]))
     for a in range(0, t, _ROW_BLOCK):
         b = min(a + _ROW_BLOCK, t)
-        w = _attention_weights(q[a:b], keys[: off + b], num_heads)
-        np.matmul(w, vh[:, : off + b], out=attn[a:b].transpose(1, 0, 2))
+        end = off + b if pos is None else pos[b - 1] + 1
+        w = _attention_weights(q[a:b], keys[:end], num_heads, None if pos is None else pos[a:b])
+        np.matmul(w, vh[:, :end], out=attn[a:b].transpose(1, 0, 2))
         if weights is not None:
-            weights[:, a:b, : off + b] = w
+            weights[:, a:b, :end] = w
     attn = attn.reshape(t, -1)
     mid = h + attn @ wo + bo
     xhat2, inv2 = _layer_norm_stats(mid, eps)

@@ -164,6 +164,8 @@ class ExperimentConfig:
             raise ValueError("[controllers] eval_sequences must be >= 2")
         if seed is not None:
             cfg.sections["run"]["seed"] = str(seed)
+        cfg.train_config()  # a bad [train] or [controllers] value fails before any stage runs
+        cfg.controller_train_config()
         return cfg
 
     # -- typed accessors ------------------------------------------------------

@@ -11,18 +11,25 @@ Where things live:
 - the block is `autodiff._block_forward`, written once: LN1, q/k/v, causal
   attention in query row blocks of `autodiff._ROW_BLOCK` rows (each block
   against the keys up to its last row, so no (H, T, T) array is built), wo,
-  LN2 and the GELU MLP. `DecoderModel._block` calls it for every numpy
-  forward: the whole-sequence `forward_hidden` attends over the rows' own
-  k/v, while the cached `step` (one row) and `routed_forward` (the uncached
-  suffix, T rows in one pass) append their k/v to the cache first and attend
-  over the cache's rows. The tape forward `build_graph_forward` records each
-  executed layer as one `Graph.block` node on the same function, which keeps
-  the intermediates and the (H, T, T) weights its VJP reads;
+  LN2 and the GELU MLP. It can run the query side for a selection of its
+  rows only. `DecoderModel._block` calls it for every numpy forward: the
+  cached `step` (one row) and `routed_forward` (the uncached suffix, T rows
+  in one pass) append their k/v to the cache first and attend over the
+  cache's rows. The whole-sequence `forward_hidden` and the teacher-forced
+  `replay_tokens` share one loop (`_gated_states`), which attends over the
+  rows' own k/v, after the prompt's k/v when a replay continues from a
+  reference generation's cache. Under gate bits a layer computes k/v for
+  every row up to its last executed one but the query side only for the
+  executed rows, so a replay costs what its realized depth costs. The tape
+  forward `build_graph_forward` records each executed layer as one
+  `Graph.block` node on the same function, which keeps the intermediates
+  and the (H, T, T) weights its VJP reads;
 - the scores and the causal softmax are `autodiff._attention_weights`, one
   in-place score buffer per query row block;
 - the fill rule is `DecoderModel._kv_for_state`: K/V of a layer always derive
-  from the position's incoming hidden state, so `forward_hidden` under gate
-  bits reproduces what `step` writes and later fills.
+  from the position's incoming hidden state, so `forward_hidden` and
+  `replay_tokens` under gate bits reproduce what `step` writes and later
+  fills.
 
 The cache (`KVCache`) holds keys and values in preallocated
 (L, max_context, d) arrays, each on its own memory mapping so that only the
@@ -280,15 +287,29 @@ class DecoderModel:
             k, v = self._kv_for_state(layer, trace.h(j, layer - 1))
             cache.fill(layer, j, k, v)
 
-    def _block(self, layer: int, h: np.ndarray, cache: KVCache | None = None) -> np.ndarray:
+    def _block(
+        self,
+        layer: int,
+        h: np.ndarray,
+        cache: KVCache | None = None,
+        prefix: GenerationResult | None = None,
+        rows: np.ndarray | None = None,
+    ) -> np.ndarray:
         """One transformer block on the rows `h` (t, d). Without a cache the
-        rows attend causally among themselves; with one they are the next t
-        positions: their k/v are appended to the cache and they attend over
-        every cached row of the layer, which must all be readable."""
+        rows attend causally among themselves, after the prompt positions of
+        `prefix` when given; with one they are the next t positions: their
+        k/v are appended to the cache and they attend over every cached row
+        of the layer, which must all be readable. `rows` selects the query
+        rows (`autodiff._block_forward`)."""
         kv = None
         if cache is not None:
             kv = lambda k, v: cache.kv_matrices(layer, cache.append_computed(layer, k, v))
-        return _block_forward(h, self._layer_params(layer), self.cfg.num_heads, self.cfg.layer_norm_eps, kv)
+        elif prefix is not None:
+            pk, pv = prefix.cache.kv_matrices(layer, len(prefix.prompt_ids) - 1)
+            kv = lambda k, v: (np.concatenate([pk, k]), np.concatenate([pv, v]))
+        return _block_forward(
+            h, self._layer_params(layer), self.cfg.num_heads, self.cfg.layer_norm_eps, kv, rows=rows
+        )
 
     # -- cached routed forward ------------------------------------------------
 
@@ -411,21 +432,32 @@ class DecoderModel:
         prompt_len: int,
         plan: RoutePlan,
         rng: np.random.Generator | None = None,
+        reference: GenerationResult | None = None,
     ) -> tuple[np.ndarray, list[tuple[int, ...]]]:
         """Teacher-forced pass over a fixed token sequence: prompt under the
         full mask, each later position under the plan's per-step mask.
-        Returns (hidden states (T, L+1, d), the realized per-step masks)."""
-        if not 1 <= prompt_len <= len(token_ids):
+        Returns (hidden states (T, L+1, d), the realized per-step masks).
+
+        `reference`, a generation from the same prompt, supplies the prompt's
+        states and K/V: `generate` runs the prompt under the full mask too, so
+        they are the ones this pass would compute. Without it the prompt rows
+        are computed here. Each later row runs only the layers its mask
+        executes; every layer still derives every row's K/V up to its last
+        executed row (the fill rule)."""
+        ids = list(token_ids)
+        if not 1 <= prompt_len <= len(ids):
             raise ValueError("prompt_len out of range")
         masks: list[tuple[int, ...]] = []
         previous: RouteMask | None = None
-        for _ in range(prompt_len, len(token_ids)):
+        for _ in range(prompt_len, len(ids)):
             previous = plan.realize(rng, previous=previous)
             masks.append(previous.bits)
-        gate_bits = np.ones((len(token_ids), self.cfg.num_layers))
-        gate_bits[prompt_len:] = np.asarray(masks).reshape(-1, self.cfg.num_layers)
-        states, _ = self.forward_hidden(token_ids, gate_bits=gate_bits)
-        return states, masks
+        gate_bits = np.asarray(masks, dtype=np.float64).reshape(-1, self.cfg.num_layers)
+        if reference is None:
+            gate_bits = np.vstack([np.ones((prompt_len, self.cfg.num_layers)), gate_bits])
+        elif reference.prompt_ids != ids[:prompt_len]:
+            raise ValueError("the reference generation has another prompt")
+        return self._gated_states(ids, gate_bits, reference)[0], masks
 
     # -- parallel (whole-sequence) forward ------------------------------------
 
@@ -434,25 +466,49 @@ class DecoderModel:
     ) -> tuple[np.ndarray, np.ndarray]:
         """Full-sequence causal forward without a cache.
 
-        `gate_bits` is an optional (T, L) 0/1 matrix of per-token gates. K/V
-        at each layer always derive from the incoming hidden state, which
-        reproduces the cache-fill approximation for skipped tokens. Returns
-        (hidden states (T, L+1, d), logits (T, V)).
+        `gate_bits` is an optional (T, L) 0/1 matrix of per-token gates: a
+        row passes a layer whose bit is 0 unchanged, and only the executed
+        (row, layer) pairs run the block's query side. K/V at each layer
+        always derive from the incoming hidden state, which reproduces the
+        cache-fill approximation for skipped tokens. Returns (hidden states
+        (T, L+1, d), logits (T, V)).
         """
         ids = list(token_ids)
-        h = self.embed(ids)
-        states = np.empty((len(ids), self.cfg.num_layers + 1, self.cfg.hidden_dim))
-        states[:, 0] = h
-        for l in range(1, self.cfg.num_layers + 1):
-            out = self._block(l, h)
-            if gate_bits is not None:
-                gates = gate_bits[:, l - 1 : l]
-                h = gates * out + (1.0 - gates) * h
-            else:
-                h = out
-            states[:, l] = h
+        if gate_bits is not None:
+            gate_bits = np.asarray(gate_bits)
+            if gate_bits.shape != (len(ids), self.cfg.num_layers):
+                raise ValueError(f"gate_bits has shape {gate_bits.shape}, expected {(len(ids), self.cfg.num_layers)}")
+            if not ((gate_bits == 0) | (gate_bits == 1)).all():
+                raise ValueError("gate_bits must be 0 or 1")
+        states, h = self._gated_states(ids, gate_bits)
         logits = self._ln(h, "final_ln") @ self.params["head.w"] + self.params["head.b"]
         return states, logits
+
+    def _gated_states(
+        self, ids: list[int], gate_bits: np.ndarray | None, prefix: GenerationResult | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Hidden states (T, L+1, d) of the sequence `ids`, and the final
+        rows computed here. Positions 0..P-1 are taken from `prefix`, which
+        computed them at every layer (P = its prompt length, 0 without one);
+        `gate_bits` (T - P, L), or None for every layer, gives the later rows'
+        layers. A layer derives K/V for the rows up to its last executed one,
+        runs the query side for the executed rows and passes the others
+        through."""
+        cfg = self.cfg
+        start = 0 if prefix is None else len(prefix.prompt_ids)
+        h = self.embed(ids[start:], start_pos=start)
+        states = np.empty((len(ids), cfg.num_layers + 1, cfg.hidden_dim))
+        if start:
+            states[:start] = prefix.trace.rows[:start]
+        states[start:, 0] = h
+        for l in range(1, cfg.num_layers + 1):
+            rows = None if gate_bits is None else np.flatnonzero(gate_bits[:, l - 1])
+            if rows is None or len(rows) == len(h) > 0:  # every row executes
+                h = self._block(l, h, prefix=prefix)
+            elif len(rows):  # a layer that no row executes needs no K/V either
+                h[rows] = self._block(l, h[: rows[-1] + 1], prefix=prefix, rows=rows)
+            states[start:, l] = h
+        return states, h
 
 
 def fill_missing_kv(model: DecoderModel, cache: KVCache, trace: HiddenTrace) -> KVCache:

@@ -52,6 +52,11 @@ def probe(
     re-run each routed variant on the same forced tokens (KV fill active) and
     record cosine similarity of the final hidden state plus the mean over
     layers 1..L-1. Aggregates mean and 95% CI over all steps in the corpus.
+
+    Each prompt's reference generation is handed to its replays, which start
+    from its cached prompt states and K/V and compute, for the generated
+    positions, only the executed (position, layer) pairs and the K/V those
+    attend to. A prompt whose reference takes no step is skipped.
     """
     L = model.cfg.num_layers
     for cost in cost_grid:
@@ -75,7 +80,7 @@ def probe(
             for cost in cost_grid:
                 plan = template.with_cost(cost)
                 rng = np.random.default_rng((seed, s_idx, cost, i))
-                var_states, _ = model.replay_tokens(forced, p, plan, rng)
+                var_states, _ = model.replay_tokens(forced, p, plan, rng, reference=ref)
                 pooled.setdefault((s_idx, plan.label(), cost), []).append(cosine(ref_states, var_states[p:]))
 
     if not pooled:

@@ -55,6 +55,8 @@ class TrainConfig:
             raise ValueError("eval_every must be in (0, 1]")
         if not 0 <= self.layerdrop_prob < 1:
             raise ValueError("layerdrop_prob must be in [0, 1)")
+        if self.schedule not in ("linear", "constant"):
+            raise ValueError(f"schedule must be 'linear' or 'constant', got {self.schedule!r}")
 
     @property
     def controller_lr(self) -> float:
@@ -402,9 +404,7 @@ def controller_sequence_loss(
     if not freeze_backbone:
         grads.update({name: leaves[name].grad for name in model.params})
 
-    label_slice = realized[prompt_len:]
-    mean_cost = float(label_slice.sum(axis=1).mean()) if len(label_slice) else float(model.cfg.num_layers)
-    return loss.item(), grads, mean_cost
+    return loss.item(), grads, mean_cost([realized[prompt_len:]])
 
 
 def train_controllers(

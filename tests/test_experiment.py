@@ -261,6 +261,22 @@ def test_misspelled_boolean_rejected(tmp_path, capsys):
         assert ExperimentConfig.load(bad).controller_train_config().freeze_backbone is value
 
 
+def test_bad_training_values_rejected_at_load(tmp_path, capsys):
+    # [train] and [controllers] become TrainConfigs when the config loads,
+    # so a misspelled schedule fails before any stage runs
+    bad = tmp_path / "bad.ini"
+    bad.write_text("[train]\nschedule = constnat\n")
+    with pytest.raises(ValueError, match="'constnat'"):
+        ExperimentConfig.load(bad)
+    assert main(["gen-corpus", "--config", str(bad), "--out", str(tmp_path / "o")]) == 1
+    assert "'constnat'" in capsys.readouterr().err
+    bad.write_text("[controllers]\npatience = -1\n")
+    with pytest.raises(ValueError, match="patience"):
+        ExperimentConfig.load(bad)
+    bad.write_text("[train]\nschedule = constant\n")
+    assert ExperimentConfig.load(bad).train_config().schedule == "constant"
+
+
 def test_fewer_than_two_controller_eval_sequences_rejected(tmp_path, capsys):
     # the controller sweep's confidence interval needs two samples; the
     # config is refused before any stage trains

@@ -493,7 +493,7 @@ def test_one_pass_over_several_row_blocks_matches_step_loop_and_forward_hidden(l
     segments = [(30, (1, 1, 1, 1)), (130, (1, 0, 1, 0)), (200, (1, 1, 1, 0))]
     block_rows = []
     real = autodiff_mod._attention_weights
-    monkeypatch.setattr(autodiff_mod, "_attention_weights", lambda q, k, h: block_rows.append(q.shape[0]) or real(q, k, h))
+    monkeypatch.setattr(autodiff_mod, "_attention_weights", lambda q, k, *rest: block_rows.append(q.shape[0]) or real(q, k, *rest))
     cache_a, trace_a = m.new_state()
     for end, bits in segments:
         res_a = m.routed_forward(tokens[:end], RouteMask(bits), cache_a, trace_a)

@@ -34,3 +34,13 @@ def test_import_pins_blas_threads_unless_set(env_vars, expected):
     variables, blas_threads = imported_settings(**env_vars)
     assert variables == expected[0]
     assert blas_threads in (expected[1], "n/a")
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy.stats roughly doubles the resident memory of a process that
+    # loads only numpy and scipy.special; the package uses two special
+    # functions and must not pull it in.
+    env = {**os.environ, "PYTHONPATH": SRC}
+    code = "import sys, depthlab.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

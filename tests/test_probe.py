@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
 
+from depthlab import autodiff, tokenizer
 from depthlab.metrics import cosine, mean_ci
 from depthlab.model import DecoderModel, ModelConfig, init_params
 from depthlab.probe import compare_strategies, probe, ranking_to_csv, similarity_to_csv
 from depthlab.routing import RoutePlan
 
 CFG = ModelConfig(num_layers=4, hidden_dim=16, num_heads=2, ffn_dim=32, vocab_size=32, max_context=48)
+# The byte vocabulary, so that BOS prompts and EOS stops occur.
+BYTE_CFG = ModelConfig(num_layers=4, hidden_dim=16, num_heads=2, ffn_dim=32, max_context=48)
 
 
 @pytest.fixture(scope="module")
@@ -150,3 +153,165 @@ def test_probe_matches_the_per_step_loop(model, prompts):
         got = (e.final_mean, e.final_half_width, e.layerwise_mean, e.layerwise_half_width)
         assert np.abs(np.subtract(got, want[:4])).max() <= 1e-15
         assert e.n == want[4] == 7 * len(prompts)
+
+
+def _strategies(L):
+    return {
+        "ee": RoutePlan.early_exit(L, L),
+        "uls": RoutePlan.uniform_skip(L, L),
+        "rls": RoutePlan.random_skip(L, L, enforce_first=True),
+        "rls_no1": RoutePlan.random_skip(L, L, enforce_first=False),
+    }
+
+
+def _every_block_over_every_row(model, tokens, prompt_len, masks):
+    """The reference formula of a replay: every block over all rows, the
+    prompt included, then gates * out + (1 - gates) * h."""
+    L = model.cfg.num_layers
+    gates = np.vstack([np.ones((prompt_len, L)), np.asarray(masks, dtype=np.float64).reshape(-1, L)])
+    h = model.embed(tokens)
+    states = [h]
+    for l in range(1, L + 1):
+        g = gates[:, l - 1 : l]
+        h = g * model._block(l, h) + (1.0 - g) * h
+        states.append(h)
+    return np.stack(states, axis=1)
+
+
+def _reference(model, prompt, max_new=7):
+    ref = model.generate(list(prompt), max_new=max_new, eos_id=None)
+    return ref, list(prompt) + ref.generated_ids[: ref.trace.num_positions - len(prompt)]
+
+
+@pytest.mark.parametrize("name", ["ee", "uls", "rls", "rls_no1"])
+def test_replay_from_the_reference_matches_every_block_over_every_row(model, prompts, name):
+    L = CFG.num_layers
+    for i, prompt in enumerate(prompts + [prompts[0][:1]]):
+        ref, forced = _reference(model, prompt)
+        p = len(prompt)
+        for cost in range(1, L + 1):
+            plan = _strategies(L)[name].with_cost(cost)
+            states, masks = model.replay_tokens(forced, p, plan, np.random.default_rng((i, cost)), reference=ref)
+            want = _every_block_over_every_row(model, forced, p, masks)
+            assert np.abs(states - want).max() <= 1e-12
+            alone, same = model.replay_tokens(forced, p, plan, np.random.default_rng((i, cost)))
+            assert same == masks
+            assert np.abs(alone - want).max() <= 1e-12
+            assert np.array_equal(states[:p], np.stack(ref.trace.rows[:p]))
+
+
+def test_replay_runs_the_query_side_only_for_executed_generated_rows(model, prompts, monkeypatch):
+    L = CFG.num_layers
+    ref, forced = _reference(model, prompts[1])
+    p = len(prompts[1])
+    query_rows = []
+    real = autodiff._attention_weights
+    monkeypatch.setattr(autodiff, "_attention_weights", lambda q, k, *rest: query_rows.append(q.shape[0]) or real(q, k, *rest))
+    plans = [(RoutePlan.full(L), L)] + [(t.with_cost(c), c) for t in _strategies(L).values() for c in (1, 2, 3)]
+    for j, (plan, cost) in enumerate(plans):
+        query_rows.clear()
+        _, masks = model.replay_tokens(forced, p, plan, np.random.default_rng(j), reference=ref)
+        assert sum(query_rows) == int(np.sum(masks)) == cost * (len(forced) - p)
+
+
+def test_a_layer_no_generated_row_executes_passes_every_row_through(model, prompts):
+    L = CFG.num_layers
+    ref, forced = _reference(model, prompts[2])
+    p = len(prompts[2])
+    states, masks = model.replay_tokens(forced, p, RoutePlan.early_exit(L, 1), reference=ref)
+    assert masks == [(1,) + (0,) * (L - 1)] * (len(forced) - p)
+    for l in range(2, L + 1):
+        assert np.array_equal(states[p:, l], states[p:, 1])
+    assert np.abs(states - _every_block_over_every_row(model, forced, p, masks)).max() <= 1e-12
+
+
+def test_replay_without_generated_positions_returns_the_reference_prompt(model, prompts):
+    ref, _ = _reference(model, prompts[0])
+    states, masks = model.replay_tokens(prompts[0], len(prompts[0]), RoutePlan.uniform_skip(CFG.num_layers, 2), reference=ref)
+    assert masks == []
+    assert np.array_equal(states, np.stack(ref.trace.rows[: len(prompts[0])]))
+
+
+def test_replay_rejects_a_reference_of_another_prompt(model, prompts):
+    ref, forced = _reference(model, prompts[0])
+    other = [prompts[1][0]] + forced[1:]
+    with pytest.raises(ValueError, match="another prompt"):
+        model.replay_tokens(other, len(prompts[0]), RoutePlan.full(CFG.num_layers), reference=ref)
+
+
+def test_forward_hidden_rejects_gates_other_than_zero_or_one(model):
+    tokens = [1, 2, 3]
+    with pytest.raises(ValueError, match="0 or 1"):
+        model.forward_hidden(tokens, gate_bits=np.full((3, CFG.num_layers), 0.5))
+    with pytest.raises(ValueError, match="shape"):
+        model.forward_hidden(tokens, gate_bits=np.ones((2, CFG.num_layers)))
+
+
+def _eos_first_on(model, prompts, count):
+    """A copy of `model` whose EOS bias is raised so that EOS is the first
+    token after the `count` prompts with the smallest margin of the best
+    other token over EOS, and not after the rest. Returns the copy and, per
+    prompt, whether it starts with EOS."""
+    margins = []
+    for prompt in prompts:
+        logits = model.forward_hidden(prompt)[1][-1]
+        margins.append(np.delete(logits, tokenizer.EOS).max() - logits[tokenizer.EOS])
+    ordered = sorted(margins) + [np.inf]
+    threshold = (ordered[count - 1] + min(ordered[count], ordered[count - 1] + 1.0)) / 2
+    params = dict(model.params)
+    params["head.b"] = params["head.b"].copy()
+    params["head.b"][tokenizer.EOS] += threshold
+    return DecoderModel(model.cfg, params), [m < threshold for m in margins]
+
+
+@pytest.fixture(scope="module")
+def byte_prompts():
+    rng = np.random.default_rng(3)
+    return [[tokenizer.BOS] + [int(t) for t in rng.integers(97, 123, size=n)] for n in (2, 3, 4, 5, 6)]
+
+
+def test_references_that_start_with_eos_are_skipped(byte_prompts):
+    base = DecoderModel(BYTE_CFG, init_params(BYTE_CFG, seed=2))
+    L = BYTE_CFG.num_layers
+    strategies = [RoutePlan.uniform_skip(L, L), RoutePlan.random_skip(L, L)]
+    model, eos_first = _eos_first_on(base, byte_prompts, 2)
+    assert sum(eos_first) == 2
+    for prompt, empty in zip(byte_prompts, eos_first):
+        assert (model.generate(prompt, max_new=1).generated_ids == [tokenizer.EOS]) == empty
+    report = probe(model, byte_prompts, strategies, [1, 2], seed=3, max_new=6)
+    expected = _per_step_probe(model, byte_prompts, strategies, [1, 2], seed=3, max_new=6)
+    assert len(report.entries) == len(expected) == 4
+    for e, (_key, want) in zip(report.entries, sorted(expected.items())):
+        got = (e.final_mean, e.final_half_width, e.layerwise_mean, e.layerwise_half_width, e.n)
+        assert np.abs(np.subtract(got[:4], want[:4])).max() <= 1e-15
+        assert e.n == want[4] > 0
+
+    all_eos, _ = _eos_first_on(base, byte_prompts, len(byte_prompts))
+    with pytest.raises(ValueError, match="every reference generation was empty"):
+        probe(all_eos, byte_prompts, strategies, [1], max_new=6)
+
+
+def test_a_bos_only_prompt_is_probed(byte_prompts):
+    model = DecoderModel(BYTE_CFG, init_params(BYTE_CFG, seed=4))
+    L = BYTE_CFG.num_layers
+    strategies = list(_strategies(L).values())
+    prompts = [[tokenizer.BOS]]
+    report = probe(model, prompts, strategies, [1, 3], seed=1, max_new=5, stop_at_eos=False)
+    expected = _per_step_probe(model, prompts, strategies, [1, 3], seed=1, max_new=5)
+    assert [e.n for e in report.entries] == [5] * 8
+    for e, (_key, want) in zip(report.entries, sorted(expected.items())):
+        got = (e.final_mean, e.final_half_width, e.layerwise_mean, e.layerwise_half_width)
+        assert np.abs(np.subtract(got, want[:4])).max() <= 1e-15
+
+
+def test_duplicate_strategies_share_one_reference_per_prompt(model, prompts, monkeypatch):
+    references = []
+    real = DecoderModel.generate
+    monkeypatch.setattr(DecoderModel, "generate", lambda self, *a, **k: references.append(1) or real(self, *a, **k))
+    uls = RoutePlan.uniform_skip(CFG.num_layers, CFG.num_layers)
+    report = probe(model, prompts, [uls, uls], [1, 2], max_new=4)
+    assert len(references) == len(prompts)
+    assert len(report.entries) == 4
+    for cost in (1, 2):
+        a, b = (e for e in report.entries if e.cost == cost)
+        assert (a.final_mean, a.layerwise_mean, a.n) == (b.final_mean, b.layerwise_mean, b.n)

@@ -372,3 +372,29 @@ def test_controller_loss_realized_cost_counts_bits():
     )
     # 2 uncontrolled layers always run; 0..2 controlled layers may.
     assert 2.0 <= cost <= 4.0
+
+
+def test_controller_loss_cost_is_the_mean_cost_of_the_label_rows():
+    model = DecoderModel(CFG, init_params(CFG, seed=17))
+    bank = _bank(CFG, seed=2)
+    teacher = DecoderModel(CFG, {k: v.copy() for k, v in model.params.items()})
+
+    def cost_and_label_rows(ex):
+        _, _, _, realized, prompt_len = build_controller_sequence_graph(
+            model, bank, teacher, ex, 2.0, np.random.default_rng(19), freeze_backbone=True
+        )
+        _, _, cost = controller_sequence_loss(model, bank, teacher, ex, 2.0, np.random.default_rng(19), True)
+        return cost, realized[prompt_len:]
+
+    cost, rows = cost_and_label_rows(TRAIN[2])
+    assert len(rows) == len(TRAIN[2].label) and cost == mean_cost([rows])
+    # an empty label leaves no rows: no cost, not a fallback of L
+    cost, rows = cost_and_label_rows(Example("e", "copy: ab", ""))
+    assert len(rows) == 0 and np.isnan(cost)
+
+
+def test_unknown_schedule_rejected():
+    for schedule in ("linear", "constant"):
+        assert TrainConfig(schedule=schedule).schedule == schedule
+    with pytest.raises(ValueError, match="'constnat'"):
+        TrainConfig(schedule="constnat")
