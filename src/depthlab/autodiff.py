@@ -229,10 +229,9 @@ def _merge_heads(x: np.ndarray) -> np.ndarray:
     return x.transpose(1, 0, 2).reshape(x.shape[1], -1)
 
 
-def _attention_weights(q: np.ndarray, k: np.ndarray, num_heads: int, pos: np.ndarray | None = None) -> np.ndarray:
+def _attention_weights(q: np.ndarray, k: np.ndarray, num_heads: int, pos: np.ndarray) -> np.ndarray:
     """(H, Tq, Tk) causal softmax weights for q (Tq, d) against k (Tk, d):
-    query row i sits at position pos[i] and attends to keys 0..pos[i]. By
-    default the rows are the last Tq positions, Tk - Tq + i. The one
+    query row i sits at position pos[i] and attends to keys 0..pos[i]. The one
     attention kernel of the package, called by `_block_forward` once per
     query row block.
 
@@ -248,8 +247,6 @@ def _attention_weights(q: np.ndarray, k: np.ndarray, num_heads: int, pos: np.nda
         w -= w.max(axis=-1, keepdims=True)
         np.exp(w, out=w)
     else:
-        if pos is None:
-            pos = np.arange(tk - tq, tk)
         past = np.arange(tk) <= pos[:, None]
         future = ~past
         np.copyto(w, -np.inf, where=future)
@@ -316,22 +313,21 @@ def _block_forward(
     v = x @ wv + bv
     keys, values = (k, v) if kv is None else kv(k, v)
     off = keys.shape[0] - h.shape[0]
+    # Query row i sits at position pos[i] and sees keys up to there; each
+    # block's weights go straight into its rows of the (T, H, d_h) output.
+    pos = off + (np.arange(h.shape[0]) if rows is None else rows)
+    xq = x
     if rows is not None:
-        h, xq, pos = h[rows], x[rows], off + rows
-    else:
-        xq, pos = x, None
+        h, xq = h[rows], x[rows]
     q = xq @ wq + bq
-    # Query row i sits at position off + i, or pos[i] when rows are
-    # selected, and sees keys up to there; each block's weights go straight
-    # into its rows of the (T, H, d_h) output.
     t = h.shape[0]
     vh = _heads(values, num_heads)
     attn = np.empty((t, num_heads, vh.shape[2]))
     weights = None if keep is None else np.zeros((num_heads, t, keys.shape[0]))
     for a in range(0, t, _ROW_BLOCK):
         b = min(a + _ROW_BLOCK, t)
-        end = off + b if pos is None else pos[b - 1] + 1
-        w = _attention_weights(q[a:b], keys[:end], num_heads, None if pos is None else pos[a:b])
+        end = pos[b - 1] + 1
+        w = _attention_weights(q[a:b], keys[:end], num_heads, pos[a:b])
         np.matmul(w, vh[:, :end], out=attn[a:b].transpose(1, 0, 2))
         if weights is not None:
             weights[:, a:b, :end] = w

@@ -17,13 +17,13 @@ Where things live:
   in one pass) append their k/v to the cache first and attend over the
   cache's rows. The whole-sequence `forward_hidden` and the teacher-forced
   `replay_tokens` share one loop (`_gated_states`), which attends over the
-  rows' own k/v, after the prompt's k/v when a replay continues from a
-  reference generation's cache. Under gate bits a layer computes k/v for
-  every row up to its last executed one but the query side only for the
-  executed rows, so a replay costs what its realized depth costs. The tape
-  forward `build_graph_forward` records each executed layer as one
-  `Graph.block` node on the same function, which keeps the intermediates
-  and the (H, T, T) weights its VJP reads;
+  rows' own k/v; a replay takes the prompt's states and k/v from its
+  reference generation and attends over those first. Under gate bits a
+  layer computes k/v for every row up to its last executed one but the
+  query side only for the executed rows, so a replay costs what its
+  realized depth costs. The tape forward `build_graph_forward` records each
+  executed layer as one `Graph.block` node on the same function, which
+  keeps the intermediates and the (H, T, T) weights its VJP reads;
 - the scores and the causal softmax are `autodiff._attention_weights`, one
   in-place score buffer per query row block;
 - the fill rule is `DecoderModel._kv_for_state`: K/V of a layer always derive
@@ -291,22 +291,11 @@ class DecoderModel:
         self,
         layer: int,
         h: np.ndarray,
-        cache: KVCache | None = None,
-        prefix: GenerationResult | None = None,
+        kv: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None,
         rows: np.ndarray | None = None,
     ) -> np.ndarray:
-        """One transformer block on the rows `h` (t, d). Without a cache the
-        rows attend causally among themselves, after the prompt positions of
-        `prefix` when given; with one they are the next t positions: their
-        k/v are appended to the cache and they attend over every cached row
-        of the layer, which must all be readable. `rows` selects the query
-        rows (`autodiff._block_forward`)."""
-        kv = None
-        if cache is not None:
-            kv = lambda k, v: cache.kv_matrices(layer, cache.append_computed(layer, k, v))
-        elif prefix is not None:
-            pk, pv = prefix.cache.kv_matrices(layer, len(prefix.prompt_ids) - 1)
-            kv = lambda k, v: (np.concatenate([pk, k]), np.concatenate([pv, v]))
+        """Layer `layer`'s block on the rows `h` (t, d), `kv` and `rows` as in
+        `autodiff._block_forward`."""
         return _block_forward(
             h, self._layer_params(layer), self.cfg.num_heads, self.cfg.layer_norm_eps, kv, rows=rows
         )
@@ -332,7 +321,7 @@ class DecoderModel:
             bits.append(bit)
             if bit:
                 self._fill_absent(l, cache, trace, start - 1)
-                h = self._block(l, h, cache)
+                h = self._block(l, h, lambda k, v: cache.kv_matrices(l, cache.append_computed(l, k, v)))
             else:
                 cache.append_absent(l, h.shape[0])
             states[:, l] = h
@@ -427,36 +416,26 @@ class DecoderModel:
         )
 
     def replay_tokens(
-        self,
-        token_ids: Sequence[int],
-        prompt_len: int,
-        plan: RoutePlan,
-        rng: np.random.Generator | None = None,
-        reference: GenerationResult | None = None,
+        self, reference: GenerationResult, plan: RoutePlan, rng: np.random.Generator | None = None
     ) -> tuple[np.ndarray, list[tuple[int, ...]]]:
-        """Teacher-forced pass over a fixed token sequence: prompt under the
-        full mask, each later position under the plan's per-step mask.
-        Returns (hidden states (T, L+1, d), the realized per-step masks).
+        """Teacher-forced pass over the trajectory of `reference`, a
+        generation: its prompt, then every generated token it took a step on,
+        each under the plan's per-step mask. Returns (hidden states
+        (T, L+1, d), the realized per-step masks).
 
-        `reference`, a generation from the same prompt, supplies the prompt's
-        states and K/V: `generate` runs the prompt under the full mask too, so
-        they are the ones this pass would compute. Without it the prompt rows
-        are computed here. Each later row runs only the layers its mask
-        executes; every layer still derives every row's K/V up to its last
-        executed row (the fill rule)."""
-        ids = list(token_ids)
-        if not 1 <= prompt_len <= len(ids):
-            raise ValueError("prompt_len out of range")
+        `generate` runs the prompt under the full mask, so the prompt's states
+        and K/V are read from the reference's trace and cache, not computed.
+        Each generated row runs only the layers its mask executes; a layer
+        still derives K/V for every generated row up to its last executed one
+        (the fill rule), and a layer no row executes computes nothing."""
+        prompt_len = len(reference.prompt_ids)
+        ids = (reference.prompt_ids + reference.generated_ids)[: reference.trace.num_positions]
         masks: list[tuple[int, ...]] = []
         previous: RouteMask | None = None
         for _ in range(prompt_len, len(ids)):
             previous = plan.realize(rng, previous=previous)
             masks.append(previous.bits)
         gate_bits = np.asarray(masks, dtype=np.float64).reshape(-1, self.cfg.num_layers)
-        if reference is None:
-            gate_bits = np.vstack([np.ones((prompt_len, self.cfg.num_layers)), gate_bits])
-        elif reference.prompt_ids != ids[:prompt_len]:
-            raise ValueError("the reference generation has another prompt")
         return self._gated_states(ids, gate_bits, reference)[0], masks
 
     # -- parallel (whole-sequence) forward ------------------------------------
@@ -485,28 +464,33 @@ class DecoderModel:
         return states, logits
 
     def _gated_states(
-        self, ids: list[int], gate_bits: np.ndarray | None, prefix: GenerationResult | None = None
+        self, ids: list[int], gate_bits: np.ndarray | None, reference: GenerationResult | None = None
     ) -> tuple[np.ndarray, np.ndarray]:
         """Hidden states (T, L+1, d) of the sequence `ids`, and the final
-        rows computed here. Positions 0..P-1 are taken from `prefix`, which
-        computed them at every layer (P = its prompt length, 0 without one);
-        `gate_bits` (T - P, L), or None for every layer, gives the later rows'
-        layers. A layer derives K/V for the rows up to its last executed one,
-        runs the query side for the executed rows and passes the others
-        through."""
+        rows computed here. Positions 0..P-1 are taken from `reference`,
+        which computed them at every layer (P = its prompt length, 0 without
+        one); `gate_bits` (T - P, L), or None for every layer, gives the
+        later rows' layers. A layer derives K/V for the rows up to its last
+        executed one, runs the query side for the executed rows and passes
+        the others through."""
         cfg = self.cfg
-        start = 0 if prefix is None else len(prefix.prompt_ids)
+        start = 0 if reference is None else len(reference.prompt_ids)
         h = self.embed(ids[start:], start_pos=start)
         states = np.empty((len(ids), cfg.num_layers + 1, cfg.hidden_dim))
         if start:
-            states[:start] = prefix.trace.rows[:start]
+            states[:start] = reference.trace.rows[:start]
         states[start:, 0] = h
         for l in range(1, cfg.num_layers + 1):
             rows = None if gate_bits is None else np.flatnonzero(gate_bits[:, l - 1])
-            if rows is None or len(rows) == len(h) > 0:  # every row executes
-                h = self._block(l, h, prefix=prefix)
-            elif len(rows):  # a layer that no row executes needs no K/V either
-                h[rows] = self._block(l, h[: rows[-1] + 1], prefix=prefix, rows=rows)
+            if rows is None or len(rows):  # a layer that no row executes needs no K/V either
+                kv = None
+                if reference is not None:  # the rows follow the reference's prompt K/V
+                    pk, pv = reference.cache.kv_matrices(l, start - 1)
+                    kv = lambda k, v: (np.concatenate([pk, k]), np.concatenate([pv, v]))
+                if rows is None or len(rows) == len(h):  # every row executes
+                    h = self._block(l, h, kv)
+                else:
+                    h[rows] = self._block(l, h[: rows[-1] + 1], kv, rows)
             states[start:, l] = h
         return states, h
 

@@ -53,10 +53,11 @@ def probe(
     record cosine similarity of the final hidden state plus the mean over
     layers 1..L-1. Aggregates mean and 95% CI over all steps in the corpus.
 
-    Each prompt's reference generation is handed to its replays, which start
-    from its cached prompt states and K/V and compute, for the generated
-    positions, only the executed (position, layer) pairs and the K/V those
-    attend to. A prompt whose reference takes no step is skipped.
+    Each prompt's reference generation is handed to its replays, which
+    follow its trajectory, read its cached prompt states and K/V and compute,
+    for the generated positions, only the executed (position, layer) pairs
+    and the K/V those attend to. A prompt whose reference takes no step is
+    skipped.
     """
     L = model.cfg.num_layers
     for cost in cost_grid:
@@ -71,16 +72,14 @@ def probe(
         prompt = list(prompt)
         ref = model.generate(prompt, plan=RoutePlan.full(L), max_new=max_new, eos_id=eos)
         p = len(prompt)
-        n_steps = ref.trace.num_positions - p
-        if n_steps <= 0:
+        if ref.trace.num_positions == p:
             continue
-        forced = prompt + ref.generated_ids[:n_steps]
         ref_states = np.stack(ref.trace.rows[p:])
         for s_idx, template in enumerate(strategies):
             for cost in cost_grid:
                 plan = template.with_cost(cost)
                 rng = np.random.default_rng((seed, s_idx, cost, i))
-                var_states, _ = model.replay_tokens(forced, p, plan, rng, reference=ref)
+                var_states, _ = model.replay_tokens(ref, plan, rng)
                 pooled.setdefault((s_idx, plan.label(), cost), []).append(cosine(ref_states, var_states[p:]))
 
     if not pooled:

@@ -225,11 +225,13 @@ def _fit(
     """The one training loop. Each epoch shuffles the training examples with
     `data_rng`; each batch calls `batch_hook` once for the per-sequence step
     that gives (loss, grads, cost), sums the gradients in sequence order and
-    scales them by 1/len(batch). Every (params, base lr) group has its own
-    AdamW, stepped at lr times the schedule factor. Validation ROUGE-L runs
-    every eval interval; the parameters are snapshotted on a strictly better
-    score, training stops after `patience` evals without one, and the best
-    snapshot is restored into each group's dict."""
+    scales them by 1/len(batch). A nan cost (a sequence without label rows)
+    is left out of the logged train cost, as `mean_cost` leaves it out. Every
+    (params, base lr) group has its own AdamW, stepped at lr times the
+    schedule factor. Validation ROUGE-L runs every eval interval; the
+    parameters are snapshotted on a strictly better score, training stops
+    after `patience` evals without one, and the best snapshot is restored
+    into each group's dict."""
     if len(train_examples) == 0:
         raise ValueError("empty training corpus")
     steps_per_epoch = math.ceil(len(train_examples) / cfg.batch_size)
@@ -255,13 +257,15 @@ def _fit(
         sequence_step = batch_hook()
         acc: dict[str, np.ndarray] = {}
         batch_loss = 0.0
-        batch_cost = 0.0
+        batch_cost, costed = 0.0, 0
         for ex in batch:
             loss, grads, cost = sequence_step(ex)
             if not math.isfinite(loss):
                 raise TrainingDiverged(step, loss)
             batch_loss += loss
-            batch_cost += cost
+            if not math.isnan(cost):
+                batch_cost += cost
+                costed += 1
             for name, grad in grads.items():
                 acc[name] = acc[name] + grad if name in acc else grad
         scale = 1.0 / len(batch)
@@ -270,7 +274,8 @@ def _fit(
         for params, lr, optimizer in optimizers:
             optimizer.step(params, grads_avg, lr * factor)
         running_loss.append(batch_loss * scale)
-        running_cost.append(batch_cost * scale)
+        if costed:
+            running_cost.append(batch_cost * (1.0 / costed))
         step += 1
 
         if step % eval_interval == 0 or step == total_steps:
@@ -278,7 +283,8 @@ def _fit(
             val_rouge = float(np.mean(scores))
             # the full model runs every layer, also on generations that took no step
             val_cost = float(model.cfg.num_layers) if bank is None else mean_cost(bits)
-            log.append(LogRow(step, "train", float(np.mean(running_loss)), 0.0, float(np.mean(running_cost))))
+            train_cost = float(np.mean(running_cost)) if running_cost else math.nan
+            log.append(LogRow(step, "train", float(np.mean(running_loss)), 0.0, train_cost))
             log.append(LogRow(step, "val", 0.0, val_rouge, val_cost))
             running_loss, running_cost = [], []
             if val_rouge > best_metric:

@@ -251,7 +251,7 @@ ATTENTION_SHAPES = [(1, 1), (1, 240), (25, 25), (64, 64), (65, 65), (97, 97), (2
 def test_attention_weights_match_naive_loop(tq, tk):
     rng = np.random.default_rng(tq * 1000 + tk)
     q, k = rng.normal(size=(tq, 64)), rng.normal(size=(tk, 64))
-    w = _attention_weights(q, k, 4)
+    w = _attention_weights(q, k, 4, np.arange(tk - tq, tk))
     assert w.shape == (4, tq, tk)
     np.testing.assert_allclose(w, naive_attention_weights(q, k, 4), rtol=0, atol=1e-12)
     np.testing.assert_array_equal(np.triu(w, tk - tq + 1), 0.0)

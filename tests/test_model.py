@@ -478,7 +478,8 @@ def test_block_matches_naive_attention(long_model, tq, tk):
     mid = h + attn @ prm[p + "wo"] + prm[p + "bo"]
     u = m._ln(mid, p + "ln2") @ prm[p + "w1"] + prm[p + "b1"]
     mlp = 0.5 * u * (1.0 + erf(u / np.sqrt(2.0))) @ prm[p + "w2"] + prm[p + "b2"]
-    np.testing.assert_allclose(m._block(layer, h, cache), mid + mlp, rtol=0, atol=1e-12)
+    kv = None if cache is None else lambda k, v: cache.kv_matrices(layer, cache.append_computed(layer, k, v))
+    np.testing.assert_allclose(m._block(layer, h, kv), mid + mlp, rtol=0, atol=1e-12)
 
 
 def test_one_pass_over_several_row_blocks_matches_step_loop_and_forward_hidden(long_model, monkeypatch):

@@ -46,7 +46,7 @@ def test_early_exit_shared_prefix_layers_identical(model, prompts):
     n_steps = ref.trace.num_positions - len(prompt)
     forced = prompt + ref.generated_ids[:n_steps]
     exit_layer = 2
-    states, _ = model.replay_tokens(forced, len(prompt), RoutePlan.early_exit(CFG.num_layers, exit_layer))
+    states, _ = model.replay_tokens(ref, RoutePlan.early_exit(CFG.num_layers, exit_layer))
     for t in range(len(prompt), len(forced)):
         for l in range(1, exit_layer + 1):
             assert cosine(ref.trace.h(t, l), states[t, l]) == pytest.approx(1.0, abs=1e-12)
@@ -129,7 +129,7 @@ def _per_step_probe(model, prompts, strategies, cost_grid, seed, max_new):
         for s_idx, template in enumerate(strategies):
             for cost in cost_grid:
                 plan = template.with_cost(cost)
-                states, _ = model.replay_tokens(forced, p, plan, np.random.default_rng((seed, s_idx, cost, i)))
+                states, _ = model.replay_tokens(ref, plan, np.random.default_rng((seed, s_idx, cost, i)))
                 finals, layerwise = pooled.setdefault((s_idx, plan.label(), cost), ([], []))
                 for t in range(p, len(forced)):
                     finals.append(cosine(ref.trace.h(t, L), states[t, L]))
@@ -191,12 +191,9 @@ def test_replay_from_the_reference_matches_every_block_over_every_row(model, pro
         p = len(prompt)
         for cost in range(1, L + 1):
             plan = _strategies(L)[name].with_cost(cost)
-            states, masks = model.replay_tokens(forced, p, plan, np.random.default_rng((i, cost)), reference=ref)
-            want = _every_block_over_every_row(model, forced, p, masks)
-            assert np.abs(states - want).max() <= 1e-12
-            alone, same = model.replay_tokens(forced, p, plan, np.random.default_rng((i, cost)))
-            assert same == masks
-            assert np.abs(alone - want).max() <= 1e-12
+            states, masks = model.replay_tokens(ref, plan, np.random.default_rng((i, cost)))
+            assert len(states) == len(forced) and len(masks) == len(forced) - p
+            assert np.abs(states - _every_block_over_every_row(model, forced, p, masks)).max() <= 1e-12
             assert np.array_equal(states[:p], np.stack(ref.trace.rows[:p]))
 
 
@@ -210,7 +207,7 @@ def test_replay_runs_the_query_side_only_for_executed_generated_rows(model, prom
     plans = [(RoutePlan.full(L), L)] + [(t.with_cost(c), c) for t in _strategies(L).values() for c in (1, 2, 3)]
     for j, (plan, cost) in enumerate(plans):
         query_rows.clear()
-        _, masks = model.replay_tokens(forced, p, plan, np.random.default_rng(j), reference=ref)
+        _, masks = model.replay_tokens(ref, plan, np.random.default_rng(j))
         assert sum(query_rows) == int(np.sum(masks)) == cost * (len(forced) - p)
 
 
@@ -218,25 +215,19 @@ def test_a_layer_no_generated_row_executes_passes_every_row_through(model, promp
     L = CFG.num_layers
     ref, forced = _reference(model, prompts[2])
     p = len(prompts[2])
-    states, masks = model.replay_tokens(forced, p, RoutePlan.early_exit(L, 1), reference=ref)
+    states, masks = model.replay_tokens(ref, RoutePlan.early_exit(L, 1))
     assert masks == [(1,) + (0,) * (L - 1)] * (len(forced) - p)
     for l in range(2, L + 1):
         assert np.array_equal(states[p:, l], states[p:, 1])
     assert np.abs(states - _every_block_over_every_row(model, forced, p, masks)).max() <= 1e-12
 
 
-def test_replay_without_generated_positions_returns_the_reference_prompt(model, prompts):
-    ref, _ = _reference(model, prompts[0])
-    states, masks = model.replay_tokens(prompts[0], len(prompts[0]), RoutePlan.uniform_skip(CFG.num_layers, 2), reference=ref)
+def test_replay_of_a_reference_without_steps_returns_its_prompt(model, prompts):
+    ref, forced = _reference(model, prompts[0], max_new=0)
+    assert forced == prompts[0]
+    states, masks = model.replay_tokens(ref, RoutePlan.uniform_skip(CFG.num_layers, 2))
     assert masks == []
-    assert np.array_equal(states, np.stack(ref.trace.rows[: len(prompts[0])]))
-
-
-def test_replay_rejects_a_reference_of_another_prompt(model, prompts):
-    ref, forced = _reference(model, prompts[0])
-    other = [prompts[1][0]] + forced[1:]
-    with pytest.raises(ValueError, match="another prompt"):
-        model.replay_tokens(other, len(prompts[0]), RoutePlan.full(CFG.num_layers), reference=ref)
+    assert np.array_equal(states, np.stack(ref.trace.rows))
 
 
 def test_forward_hidden_rejects_gates_other_than_zero_or_one(model):

@@ -398,3 +398,19 @@ def test_unknown_schedule_rejected():
         assert TrainConfig(schedule=schedule).schedule == schedule
     with pytest.raises(ValueError, match="'constnat'"):
         TrainConfig(schedule="constnat")
+
+
+def test_train_cost_leaves_out_sequences_without_label_rows():
+    # an empty label gives a nan cost, which the logged train cost skips
+    # instead of turning its whole eval window into nan
+    empty = Example("e", "copy: ab", "")
+
+    def train_costs(examples):
+        model = DecoderModel(CFG, init_params(CFG, seed=21))
+        result = train_controllers(model, _bank(CFG, seed=4), examples, VAL, quick_cfg(batch_size=4, max_epochs=1), alpha=2.0)
+        return [r.mean_cost for r in result.log if r.split == "train"]
+
+    [cost] = train_costs(TRAIN[:3] + [empty])
+    assert 2.0 <= cost <= 4.0
+    [cost] = train_costs([empty])
+    assert np.isnan(cost)
