@@ -1,7 +1,12 @@
 """Reproducibility shell: INI experiment configs, content-hashed manifests,
 and the pipeline stages behind each CLI subcommand (corpus generation,
 training, controller sweeps, prediction sets, similarity probe, budget
-oracle, chi-square test, report merging)."""
+oracle, chi-square test, report merging).
+
+`STAGES` declares each stage once: its subcommand, its directory under the
+run root, the files it reads and its body. `run_stage` resolves those files,
+refuses missing ones and ones their producers' manifests no longer list,
+runs the body and writes the stage's manifest."""
 
 from __future__ import annotations
 
@@ -13,7 +18,7 @@ import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -102,6 +107,10 @@ class MissingArtifact(FileNotFoundError):
     pass
 
 
+class StaleArtifact(RuntimeError):
+    pass
+
+
 def _ints(text: str) -> list[int]:
     return [int(v) for v in text.split(",") if v.strip()]
 
@@ -155,17 +164,24 @@ class ExperimentConfig:
                         raise ValueError(f"unknown config key {key!r} in [{section}]")
                     sections[section][key] = value
         cfg = ExperimentConfig(sections)
+        if seed is not None:
+            cfg.sections["run"]["seed"] = str(seed)
+        # Every value is parsed here once, so a bad one fails before any stage runs.
         for section, values in DEFAULTS.items():
             for key, default in values.items():
                 if default in ("true", "false"):
-                    cfg.getbool(section, key)  # a misspelled boolean fails before any stage runs
+                    cfg.getbool(section, key)
         if cfg.getint("controllers", "eval_sequences") < 2:
             # the controller sweep reports a confidence interval over them
             raise ValueError("[controllers] eval_sequences must be >= 2")
-        if seed is not None:
-            cfg.sections["run"]["seed"] = str(seed)
-        cfg.train_config()  # a bad [train] or [controllers] value fails before any stage runs
-        cfg.controller_train_config()
+        for accessor in (cfg.corpus_spec, cfg.train_config, cfg.controller_train_config, cfg.alpha_grid,
+                         cfg.input_modes, cfg.cost_grid, cfg.generate_costs, cfg.budget_grid):
+            accessor()
+        parse_strategies(cfg.get("routing", "strategies"), cfg.model_config().num_layers)
+        cfg.getfloat("controllers", "temperature")
+        for section, key in (("probe", "max_new"), ("probe", "max_sequences"), ("oracle", "bin_width"),
+                             ("oracle", "num_bins")):
+            cfg.getint(section, key)
         return cfg
 
     # -- typed accessors ------------------------------------------------------
@@ -201,13 +217,15 @@ class ExperimentConfig:
 
     def corpus_spec(self) -> CorpusSpec:
         splits = _floats(self.get("corpus", "splits"))
+        if len(splits) != 3:
+            raise ValueError(f"[corpus] splits must be three fractions, got {self.get('corpus', 'splits')!r}")
         return CorpusSpec(
             size=self.getint("corpus", "size"),
             tasks=tuple(t.strip() for t in self.get("corpus", "tasks").split(",") if t.strip()),
             min_words=self.getint("corpus", "min_words"),
             max_words=self.getint("corpus", "max_words"),
             alphabet=self.get("corpus", "alphabet"),
-            splits=(splits[0], splits[1], splits[2]),
+            splits=tuple(splits),
         )
 
     def train_config(self) -> TrainConfig:
@@ -245,7 +263,10 @@ class ExperimentConfig:
         return [InputMode(m.strip()) for m in self.get("controllers", "input_modes").split(",") if m.strip()]
 
     def cost_grid(self) -> list[int]:
-        return _ints(self.get("routing", "cost_grid"))
+        costs, L = _ints(self.get("routing", "cost_grid")), self.model_config().num_layers
+        if not all(1 <= c <= L for c in costs):
+            raise ValueError(f"[routing] cost_grid {costs} has a cost outside 1..{L}")
+        return costs
 
     def generate_costs(self) -> list[int]:
         L = self.model_config().num_layers
@@ -274,63 +295,65 @@ class ExperimentConfig:
 
 
 def _sha256(path: Path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            h.update(chunk)
-    return h.hexdigest()
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def write_stage_manifest(
-    stage_dir: Path,
-    stage: str,
-    cfg: ExperimentConfig,
-    out_root: Path,
-    inputs: Sequence[Path] = (),
+    stage_dir: Path, stage: str, cfg: ExperimentConfig, out_root: Path, inputs: dict[str, str]
 ) -> None:
-    """Hash everything the stage read and wrote; paths are stored relative to
-    the run root so reruns in different roots stay byte-identical."""
-
-    root = out_root.resolve()
-
-    def rel(p: Path) -> str:
-        try:
-            return p.resolve().relative_to(root).as_posix()
-        except ValueError:
-            return p.name
-
-    outputs = sorted(p for p in stage_dir.rglob("*") if p.is_file() and p.name != "manifest.json")
+    """Record the hashes of what the stage read (`inputs`, path -> sha256) and
+    of every file it wrote but this manifest; paths are relative to the run
+    root so reruns in different roots stay byte-identical."""
+    own = stage_dir / "manifest.json"
+    outputs = sorted(p for p in stage_dir.rglob("*") if p.is_file() and p != own)
     manifest = {
         "stage": stage,
         "config_hash": cfg.config_hash(),
         "model_config_hash": cfg.model_config_hash(),
         "seed": cfg.seed,
-        "inputs": {rel(p): _sha256(p) for p in sorted(inputs)},
-        "outputs": {rel(p): _sha256(p) for p in outputs},
+        "inputs": inputs,
+        "outputs": {p.relative_to(out_root).as_posix(): _sha256(p) for p in outputs},
     }
-    (stage_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    own.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
-def _start_stage(out: Path, name: str, cfg: ExperimentConfig) -> Path:
-    stage_dir = out / name
-    stage_dir.mkdir(parents=True, exist_ok=True)
-    (stage_dir / "config_resolved.json").write_text(cfg.resolved_json())
-    return stage_dir
+def _read_manifest(out: Path, stage_dir: str) -> dict | None:
+    path = out / stage_dir / "manifest.json"
+    return json.loads(path.read_text()) if path.exists() else None
 
 
-def _require(path: Path, hint: str) -> Path:
-    if not path.exists():
-        raise MissingArtifact(f"missing {path} — run `{hint}` first")
-    return path
+def _check_fresh(out: Path, hashes: dict[str, str]) -> None:
+    """Refuse stale inputs. Each file read (`hashes`, path -> sha256) must be
+    the one its producer's manifest lists among its outputs, and so must each
+    input recorded by every manifest upstream, followed transitively; that
+    step compares manifests and hashes nothing. A file whose producer
+    directory has no manifest, or whose producer's manifest does not list it,
+    is not checked."""
+    manifests: dict[str, dict | None] = {}
+    pending: list[tuple[str | None, dict[str, str]]] = [(None, hashes)]  # (reader, what it read)
+    while pending:
+        reader, inputs = pending.pop()
+        for rel, digest in inputs.items():
+            top = rel.split("/", 1)[0]
+            if top not in manifests:
+                manifests[top] = _read_manifest(out, top)
+                if manifests[top] is not None:
+                    pending.append((manifests[top]["stage"], manifests[top]["inputs"]))
+            producer = manifests[top]
+            if producer is not None and producer["outputs"].get(rel, digest) != digest:
+                what = f"`{reader}` read a {rel} other than" if reader else f"{rel} differs from"
+                raise StaleArtifact(
+                    f"{what} the one `{producer['stage']}` last wrote — rerun `{reader or producer['stage']}`"
+                )
 
 
 # ---------------------------------------------------------------------------
-# Stages
+# Stage bodies: each writes into `stage`, the stage's directory, and reads
+# the files its table entry declares (`inputs`, resolved under the run root).
 # ---------------------------------------------------------------------------
 
 
-def stage_gen_corpus(cfg: ExperimentConfig, out: Path) -> Path:
-    stage = _start_stage(out, "corpus", cfg)
+def _gen_corpus(cfg: ExperimentConfig, out: Path, stage: Path, inputs: list[Path]) -> None:
     spec = cfg.corpus_spec()
     examples = gen_corpus(spec, cfg.seed)
     train, val, test = split_corpus(examples, spec.splits)
@@ -338,47 +361,32 @@ def stage_gen_corpus(cfg: ExperimentConfig, out: Path) -> Path:
     write_jsonl(train, stage / "train.jsonl")
     write_jsonl(val, stage / "val.jsonl")
     write_jsonl(test, stage / "test.jsonl")
-    write_stage_manifest(stage, "gen-corpus", cfg, out)
-    return stage
 
 
 def _load_split(out: Path, name: str) -> list[Example]:
-    return read_jsonl(_require(out / "corpus" / f"{name}.jsonl", "gen-corpus"))
+    return read_jsonl(out / "corpus" / f"{name}.jsonl")
 
 
-def stage_train(cfg: ExperimentConfig, out: Path) -> Path:
-    stage = _start_stage(out, "checkpoints", cfg)
-    train_examples = _load_split(out, "train")
-    val_examples = _load_split(out, "val")
+def _train(cfg: ExperimentConfig, out: Path, stage: Path, inputs: list[Path]) -> None:
     model_cfg = cfg.model_config()
     model = DecoderModel(model_cfg, init_params(model_cfg, seed=cfg.seed))
-    result = finetune(model, train_examples, val_examples, cfg.train_config())
-    ckpt = stage / "backbone"
+    result = finetune(model, _load_split(out, "train"), _load_split(out, "val"), cfg.train_config())
     save_checkpoint(
-        ckpt,
+        stage / "backbone",
         model_cfg,
         model.params,
         extra={"config_hash": cfg.config_hash(), "seed": cfg.seed, "best_rouge_l": result.best_metric},
     )
     write_log_csv(result.log, stage / "train_log.csv")
-    inputs = [out / "corpus" / "train.jsonl", out / "corpus" / "val.jsonl"]
-    write_stage_manifest(stage, "train", cfg, out, inputs=inputs)
-    return stage
 
 
-def _load_backbone(cfg: ExperimentConfig, out: Path) -> DecoderModel:
-    ckpt = _require(out / "checkpoints" / "backbone" / "config.json", "train").parent
-    model_cfg, params, _ = load_checkpoint(ckpt)
+def _load_backbone(out: Path) -> DecoderModel:
+    model_cfg, params, _ = load_checkpoint(out / "checkpoints" / "backbone")
     backbone, _ = split_controller_params(params)
     return DecoderModel(model_cfg, backbone)
 
 
-def _backbone_input_files(out: Path) -> list[Path]:
-    base = out / "checkpoints" / "backbone"
-    return [base / "config.json", base / "manifest.json", base / "weights.bin"]
-
-
-def stage_train_controllers(cfg: ExperimentConfig, out: Path) -> Path:
+def _train_controllers(cfg: ExperimentConfig, out: Path, stage: Path, inputs: list[Path]) -> None:
     """Train one gate bank per (input mode, alpha) and score it on the test
     split. Each test prompt is decoded once per run; that one generation gives
     its ROUGE-L and its realized execute bits. `sweep_summary.csv` has the
@@ -389,7 +397,6 @@ def stage_train_controllers(cfg: ExperimentConfig, out: Path) -> Path:
     Long generations weigh more in the pooled fractions than in the
     per-generation mean, so L minus the summed skip fractions need not equal
     `mean_cost`."""
-    stage = _start_stage(out, "controllers", cfg)
     train_examples = _load_split(out, "train")
     val_examples = _load_split(out, "val")
     test_examples = _load_split(out, "test")
@@ -406,7 +413,7 @@ def stage_train_controllers(cfg: ExperimentConfig, out: Path) -> Path:
     ratio_rows = [["input_mode", "alpha", "layer", "skip_fraction"]]
     for mode_idx, mode in enumerate(cfg.input_modes()):
         for alpha in cfg.alpha_grid():
-            model = _load_backbone(cfg, out)
+            model = _load_backbone(out)
             bank = ControllerBank(
                 model_cfg,
                 init_controller_params(model_cfg, layers, seed=cfg.seed + 1000 * mode_idx + int(alpha)),
@@ -453,15 +460,9 @@ def stage_train_controllers(cfg: ExperimentConfig, out: Path) -> Path:
     _write_csv(stage / "sweep_summary.csv", summary_rows)
     _write_csv(stage / "skip_ratios.csv", ratio_rows)
 
-    inputs = [out / "corpus" / f"{n}.jsonl" for n in ("train", "val", "test")]
-    inputs += _backbone_input_files(out)
-    write_stage_manifest(stage, "train-controllers", cfg, out, inputs=inputs)
-    return stage
 
-
-def stage_generate(cfg: ExperimentConfig, out: Path) -> Path:
-    stage = _start_stage(out, "predictions", cfg)
-    model = _load_backbone(cfg, out)
+def _generate(cfg: ExperimentConfig, out: Path, stage: Path, inputs: list[Path]) -> None:
+    model = _load_backbone(out)
     test_examples = _load_split(out, "test")
     costs = cfg.generate_costs()
     max_new = cfg.getint("generate", "max_new")
@@ -487,14 +488,9 @@ def stage_generate(cfg: ExperimentConfig, out: Path) -> Path:
                 fh.write(json.dumps(record, sort_keys=True))
                 fh.write("\n")
 
-    inputs = [out / "corpus" / "test.jsonl"] + _backbone_input_files(out)
-    write_stage_manifest(stage, "generate", cfg, out, inputs=inputs)
-    return stage
 
-
-def stage_probe(cfg: ExperimentConfig, out: Path) -> Path:
-    stage = _start_stage(out, "probe", cfg)
-    model = _load_backbone(cfg, out)
+def _probe(cfg: ExperimentConfig, out: Path, stage: Path, inputs: list[Path]) -> None:
+    model = _load_backbone(out)
     test_examples = _load_split(out, "test")
     max_sequences = cfg.getint("probe", "max_sequences")
     prompts = [
@@ -511,23 +507,10 @@ def stage_probe(cfg: ExperimentConfig, out: Path) -> Path:
     )
     similarity_to_csv(report, stage / "similarity.csv")
     ranking_to_csv(compare_strategies(report), stage / "ranking.csv")
-    inputs = [out / "corpus" / "test.jsonl"] + _backbone_input_files(out)
-    write_stage_manifest(stage, "probe", cfg, out, inputs=inputs)
-    return stage
 
 
-def _prediction_files(out: Path) -> list[Path]:
-    pred_dir = _require(out / "predictions", "generate")
-    files = sorted(pred_dir.glob("uls_c*.jsonl"))
-    if not files:
-        raise MissingArtifact(f"no prediction sets under {pred_dir} — run `generate` first")
-    return files
-
-
-def stage_oracle(cfg: ExperimentConfig, out: Path) -> Path:
-    stage = _start_stage(out, "oracle", cfg)
-    files = _prediction_files(out)
-    matrix = score_matrix_from_prediction_sets(files)
+def _oracle(cfg: ExperimentConfig, out: Path, stage: Path, inputs: list[Path]) -> None:
+    matrix = score_matrix_from_prediction_sets(inputs)
     budgets = [b for b in cfg.budget_grid() if b >= min(matrix.costs)]
     result = sweep(matrix, budgets)
     score_matrix_to_csv(matrix, stage / "score_matrix.csv")
@@ -559,25 +542,18 @@ def stage_oracle(cfg: ExperimentConfig, out: Path) -> Path:
             sort_keys=True,
         )
         fh.write("\n")
-    write_stage_manifest(stage, "oracle", cfg, out, inputs=files)
-    return stage
 
 
-def stage_chi2(cfg: ExperimentConfig, out: Path, beta: float | None = None) -> Path:
+def _chi2(cfg: ExperimentConfig, out: Path, stage: Path, inputs: list[Path], beta: float | None = None) -> None:
     """Chi-square test of the exact assignment at `beta` against label length.
 
     Reads the score matrix the `oracle` stage wrote (`oracle/score_matrix.csv`,
     which round-trips exactly), so it needs that stage even when `beta` is
     given. Without `beta` it tests the budget of the oracle's assignment.
     """
-    stage = _start_stage(out, "chi2", cfg)
-    matrix_path = _require(out / "oracle" / "score_matrix.csv", "oracle")
-    matrix = score_matrix_from_csv(matrix_path)
-    inputs = [matrix_path]
+    matrix = score_matrix_from_csv(out / "oracle" / "score_matrix.csv")
     if beta is None:
-        summary_path = _require(out / "oracle" / "summary.json", "oracle")
-        beta = json.loads(summary_path.read_text())["assignment_beta"]
-        inputs.append(summary_path)
+        beta = json.loads((out / "oracle" / "summary.json").read_text())["assignment_beta"]
     assignment = solve_exact(matrix, beta)
     result = chi_square_homogeneity(
         assignment,
@@ -586,19 +562,6 @@ def stage_chi2(cfg: ExperimentConfig, out: Path, beta: float | None = None) -> P
         num_bins=cfg.getint("oracle", "num_bins"),
     )
     chi2_to_json(result, stage / f"chi2_beta{beta:g}.json")
-    write_stage_manifest(stage, "chi2", cfg, out, inputs=inputs)
-    return stage
-
-
-def _check_model_hashes(out: Path, stages: Sequence[str]) -> str:
-    hashes = {}
-    for name in stages:
-        manifest_path = _require(out / name / "manifest.json", name)
-        manifest = json.loads(manifest_path.read_text())
-        hashes[name] = manifest["model_config_hash"]
-    if len(set(hashes.values())) > 1:
-        raise ValueError(f"conflicting model-config hashes across stages: {hashes}")
-    return next(iter(hashes.values()))
 
 
 def _read_csv(path: Path) -> list[dict[str, str]]:
@@ -616,9 +579,15 @@ def _copy_columns(src: Path, dst: Path, columns: Sequence[str]) -> None:
     _write_csv(dst, [columns] + [[row[c] for c in columns] for row in _read_csv(src)])
 
 
-def stage_report(cfg: ExperimentConfig, out: Path) -> Path:
-    stage = _start_stage(out, "report", cfg)
-    _check_model_hashes(out, ["probe", "controllers", "predictions", "oracle"])
+def _report(cfg: ExperimentConfig, out: Path, stage: Path, inputs: list[Path]) -> None:
+    hashes = {}
+    for name in ("probe", "controllers", "predictions", "oracle"):
+        manifest = _read_manifest(out, name)
+        if manifest is None:
+            raise _missing(out, f"{name}/manifest.json")
+        hashes[name] = manifest["model_config_hash"]
+    if len(set(hashes.values())) > 1:
+        raise ValueError(f"conflicting model-config hashes across stages: {hashes}")
 
     # Fig 1a layout: similarity vs cost per strategy, long format.
     _copy_columns(
@@ -667,12 +636,67 @@ def stage_report(cfg: ExperimentConfig, out: Path) -> Path:
         ["input_mode", "alpha", "layer", "skip_fraction"],
     )
 
-    inputs = [
-        out / "probe" / "similarity.csv",
-        out / "controllers" / "sweep_summary.csv",
-        out / "controllers" / "skip_ratios.csv",
-        out / "oracle" / "sweep.csv",
-        out / "oracle" / "summary.json",
-    ]
-    write_stage_manifest(stage, "report", cfg, out, inputs=inputs)
-    return stage
+
+# ---------------------------------------------------------------------------
+# The stage table and its runner
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Stage:
+    """One pipeline stage and CLI subcommand. `body` writes into `dir` under
+    the run root and reads the files `reads` names: paths or globs under the
+    run root, each in the directory of the stage that writes it."""
+
+    name: str
+    dir: str
+    reads: tuple[str, ...]
+    body: Callable[..., None]
+    help: str
+
+
+_BACKBONE = tuple(f"checkpoints/backbone/{name}" for name in ("config.json", "manifest.json", "weights.bin"))
+_TEST = ("corpus/test.jsonl",)
+
+STAGES: dict[str, Stage] = {stage.name: stage for stage in (
+    Stage("gen-corpus", "corpus", (), _gen_corpus, "generate the synthetic corpus and splits"),
+    Stage("train", "checkpoints", ("corpus/train.jsonl", "corpus/val.jsonl"), _train, "fine-tune the backbone"),
+    Stage("train-controllers", "controllers", ("corpus/train.jsonl", "corpus/val.jsonl", *_TEST, *_BACKBONE),
+          _train_controllers, "train gate controllers over the alpha grid"),
+    Stage("generate", "predictions", _TEST + _BACKBONE, _generate, "produce one prediction set per routing cost"),
+    Stage("probe", "probe", _TEST + _BACKBONE, _probe, "hidden-state similarity probe"),
+    Stage("oracle", "oracle", ("predictions/uls_c*.jsonl",), _oracle, "budget-allocation sweep over prediction sets"),
+    Stage("chi2", "chi2", ("oracle/score_matrix.csv", "oracle/summary.json"), _chi2,
+          "label-length homogeneity test of the oracle assignment (needs `oracle`, also with --beta)"),
+    Stage("report", "report", ("probe/similarity.csv", "controllers/sweep_summary.csv", "controllers/skip_ratios.csv",
+                               "oracle/sweep.csv", "oracle/summary.json"),
+          _report, "merge stage outputs into plot-ready tables"),
+)}
+
+
+def _missing(out: Path, rel: str) -> MissingArtifact:
+    """The error for a file `rel` the run root lacks, naming the stage whose
+    directory should hold it."""
+    producer = next(s.name for s in STAGES.values() if s.dir == rel.split("/", 1)[0])
+    return MissingArtifact(f"missing {out / rel} — run `{producer}` first")
+
+
+def run_stage(name: str, cfg: ExperimentConfig, out: Path, **options) -> None:
+    """Run stage `name` in the run root `out`: resolve the files it reads and
+    refuse missing or stale ones, write its directory's
+    `config_resolved.json`, run its body with `options`, and write its
+    manifest from the input hashes taken before the body ran."""
+    stage = STAGES[name]
+    inputs = []
+    for pattern in stage.reads:
+        found = sorted(out.glob(pattern))
+        if not found:
+            raise _missing(out, pattern)
+        inputs += found
+    hashes = {p.relative_to(out).as_posix(): _sha256(p) for p in inputs}
+    _check_fresh(out, hashes)
+    stage_dir = out / stage.dir
+    stage_dir.mkdir(parents=True, exist_ok=True)
+    (stage_dir / "config_resolved.json").write_text(cfg.resolved_json())
+    stage.body(cfg, out, stage_dir, inputs, **options)
+    write_stage_manifest(stage_dir, name, cfg, out, hashes)

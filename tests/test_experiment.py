@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import shutil
@@ -8,10 +9,10 @@ import pytest
 
 from depthlab import tokenizer
 from depthlab.checkpoint import load_checkpoint, save_checkpoint, split_controller_params
-from depthlab.cli import main
+from depthlab.cli import _parser, main
 from depthlab.controller import ControllerBank, InputMode
 from depthlab.corpus import read_jsonl
-from depthlab.experiment import ExperimentConfig
+from depthlab.experiment import STAGES, ExperimentConfig
 from depthlab.model import DecoderModel
 from depthlab.oracle import chi2_to_json, chi_square_homogeneity, score_matrix_from_prediction_sets, solve_exact
 from depthlab.training import mean_cost, rouge_eval
@@ -232,9 +233,88 @@ def test_report_refuses_conflicting_model_hashes(run_dir, tmp_path):
     assert main(["report", "--config", str(config), "--out", str(out)]) == 1
 
 
-def test_missing_inputs_give_nonzero_exit(tmp_path):
-    assert main(["train", "--out", str(tmp_path / "nothing")]) == 1
-    assert main(["report", "--out", str(tmp_path / "nothing")]) == 1
+def test_stage_manifests_list_nested_checkpoint_manifests(run_dir):
+    out = run_dir / "out"
+    train, controllers, generate = (
+        json.loads((out / name / "manifest.json").read_text()) for name in ("checkpoints", "controllers", "predictions")
+    )
+    rel = "checkpoints/backbone/manifest.json"
+    assert generate["inputs"][rel] == train["outputs"][rel]
+    assert "controllers/hidden_a4/checkpoint/manifest.json" in controllers["outputs"]
+    assert "controllers/manifest.json" not in controllers["outputs"]
+
+
+def test_regenerated_predictions_make_the_oracle_outputs_stale(run_dir, tmp_path, capsys):
+    out = tmp_path / "out"
+    shutil.copytree(run_dir / "out", out)
+    config = run_dir / "tiny.ini"
+    shorter = tmp_path / "short.ini"
+    shorter.write_text(config.read_text().replace("1.0\nmax_new = 12", "1.0\nmax_new = 6"))
+    before = json.loads((out / "predictions" / "manifest.json").read_text())["outputs"]
+    assert main(["generate", "--config", str(shorter), "--out", str(out)]) == 0
+    after = json.loads((out / "predictions" / "manifest.json").read_text())["outputs"]
+    assert before["predictions/uls_c4.jsonl"] != after["predictions/uls_c4.jsonl"]
+
+    args = ["--config", str(config), "--out", str(out)]
+    for stage in ("chi2", "report"):
+        assert main([stage, *args]) == 1
+        err = capsys.readouterr().err
+        assert "predictions/uls_c4.jsonl" in err and "rerun `oracle`" in err
+    assert main(["oracle", *args]) == 0
+    assert main(["chi2", *args]) == 0
+
+
+def test_a_stage_refuses_an_input_edited_after_its_producer_wrote_it(run_dir, tmp_path, capsys):
+    out = tmp_path / "out"
+    shutil.copytree(run_dir / "out", out)
+    args = ["--config", str(run_dir / "tiny.ini"), "--out", str(out)]
+
+    def change_one_digit(path):
+        data = bytearray(path.read_bytes())
+        i = max(i for i, b in enumerate(data) if chr(b).isdigit())
+        data[i] = ord("7") if data[i] != ord("7") else ord("3")
+        path.write_bytes(bytes(data))
+
+    change_one_digit(out / "oracle" / "score_matrix.csv")
+    assert main(["chi2", *args]) == 1
+    assert "rerun `oracle`" in capsys.readouterr().err
+
+    # Only the files a stage reads are hashed: chi2 does not read the
+    # prediction sets, so an edit there shows at the next oracle run.
+    assert main(["oracle", *args]) == 0
+    change_one_digit(out / "predictions" / "uls_c2.jsonl")
+    assert main(["chi2", *args]) == 0
+    assert main(["oracle", *args]) == 1
+    assert "rerun `generate`" in capsys.readouterr().err
+
+
+def test_missing_inputs_give_nonzero_exit(tmp_path, capsys):
+    # Each stage names the stage that should have written the first file it
+    # lacks, and writes nothing; gen-corpus reads nothing.
+    out = tmp_path / "run"
+    on_empty_root = {
+        "train": "gen-corpus",
+        "train-controllers": "gen-corpus",
+        "generate": "gen-corpus",
+        "probe": "gen-corpus",
+        "oracle": "generate",
+        "chi2": "oracle",
+        "report": "probe",
+    }
+    assert set(on_empty_root) == set(STAGES) - {"gen-corpus"}
+    for stage, producer in on_empty_root.items():
+        assert main([stage, "--out", str(out)]) == 1, stage
+        assert f"run `{producer}` first" in capsys.readouterr().err, stage
+    assert not out.exists()
+    assert main(["gen-corpus", "--out", str(out)]) == 0
+    for stage in ("train-controllers", "generate", "probe"):
+        assert main([stage, "--out", str(out)]) == 1, stage
+        assert "run `train` first" in capsys.readouterr().err, stage
+
+
+def test_cli_subcommands_are_the_stage_table():
+    (subcommands,) = (a for a in _parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert list(subcommands.choices) == list(STAGES)
 
 
 def test_unknown_subcommand_exits_with_usage():
@@ -275,6 +355,28 @@ def test_bad_training_values_rejected_at_load(tmp_path, capsys):
         ExperimentConfig.load(bad)
     bad.write_text("[train]\nschedule = constant\n")
     assert ExperimentConfig.load(bad).train_config().schedule == "constant"
+
+
+@pytest.mark.parametrize(
+    "text,named",
+    [
+        ("[routing]\nstrategies = ee,rsl\n", "'rsl'"),
+        ("[routing]\ncost_grid = 2,x\n", "'x'"),
+        ("[routing]\ncost_grid = 2,9\n", "[2, 9]"),
+        ("[model]\nnum_layers = four\n", "'four'"),
+        ("[corpus]\nsplits = 0.7,0.3\n", "'0.7,0.3'"),
+        ("[controllers]\ninput_modes = hidden,fixd\n", "'fixd'"),
+        ("[probe]\nmax_sequences = many\n", "'many'"),
+    ],
+    ids=["strategies", "cost_grid", "cost_range", "num_layers", "splits", "input_modes", "max_sequences"],
+)
+def test_every_config_value_is_checked_at_load(tmp_path, capsys, text, named):
+    # a value that only a later stage reads still fails before any stage runs
+    bad = tmp_path / "bad.ini"
+    bad.write_text(text)
+    assert main(["gen-corpus", "--config", str(bad), "--out", str(tmp_path / "o")]) == 1
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_fewer_than_two_controller_eval_sequences_rejected(tmp_path, capsys):
