@@ -12,9 +12,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import ndtr
-
-_INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
 class ShapeError(ValueError):
@@ -290,10 +287,11 @@ def _block_forward(
     rows: np.ndarray | None = None,
 ) -> np.ndarray:
     """One pre-norm transformer block on the rows h (T, d): LN1, q/k/v,
-    causal multi-head attention, wo, then LN2 and a GELU MLP, both with
-    residuals. `params` are the layer's arrays in `BLOCK_PARAMS` order. The
-    only copy of the block: the model's decode, prefill, replay and
-    whole-sequence forward and the tape's `block` node all call it.
+    causal multi-head attention, wo, then LN2 and an MLP whose activation is
+    the sigmoid-form GELU u * sigmoid(1.702 u), both with residuals.
+    `params` are the layer's arrays in `BLOCK_PARAMS` order. The only copy
+    of the block: the model's decode, prefill, replay and whole-sequence
+    forward and the tape's `block` node all call it.
 
     Without `kv` the rows attend causally among themselves. With it they are
     the last T of Tk positions: `kv(k, v)` receives the rows' keys and values
@@ -336,11 +334,14 @@ def _block_forward(
     xhat2, inv2 = _layer_norm_stats(mid, eps)
     x2 = xhat2 * g2 + c2
     u = x2 @ w1 + b1
-    cdf = ndtr(u)  # the normal CDF, Phi(u)
-    act = u * cdf
+    # The GELU's sigmoid form u * sigmoid(1.702 u) (Hendrycks & Gimpel,
+    # arXiv:1606.08415, section 2), with sigmoid(z) = (1 + tanh(z / 2)) / 2,
+    # which cannot overflow.
+    t = np.tanh(0.851 * u)
+    act = u * (0.5 * (1.0 + t))
     if keep is not None:
         keep.update(xhat=xhat, inv=inv, x=x, q=q, k=k, v=v, weights=weights, attn=attn)
-        keep.update(xhat2=xhat2, inv2=inv2, x2=x2, u=u, cdf=cdf, act=act)
+        keep.update(xhat2=xhat2, inv2=inv2, x2=x2, u=u, t=t, act=act)
     return mid + act @ w2 + b2
 
 
@@ -392,12 +393,13 @@ def _vjp_log_softmax(g, ins, out, at):
 
 def _vjp_block(g, ins, out, at):
     """`_block_forward` backwards from the kept intermediates: the MLP with
-    the GELU derivative, LN2, wo, attention, the q/k/v projections and LN1,
+    the derivative s + 0.851 u (1 - t^2) / 2 of u * s, s = (1 + t) / 2 with
+    t = tanh(0.851 u), then LN2, wo, attention, the q/k/v projections and LN1,
     each residual adding its incoming gradient."""
     g1, _c1, wq, wk, wv, wo, _bq, _bk, _bv, _bo, g2, _c2, w1, _b1, w2, _b2 = ins[1:]
-    x, u, x2, attn = at["x"], at["u"], at["x2"], at["attn"]
+    x, u, t, x2, attn = at["x"], at["u"], at["t"], at["x2"], at["attn"]
     gu = g @ w2.T
-    gu *= at["cdf"] + u * np.exp(-0.5 * u * u) * _INV_SQRT2PI
+    gu *= 0.5 * (1.0 + t) + 0.851 * u * (1.0 - t * t) / 2
     gmid, gg2, gc2 = _layer_norm_backward(gu @ w1.T, at["xhat2"], at["inv2"], g2)
     gmid += g
     gq, gk, gv = _vjp_causal_attention(gmid @ wo.T, at["q"], at["k"], at["v"], attn, at["weights"], at["num_heads"])

@@ -14,7 +14,9 @@ import numpy as np
 from .model import ModelConfig, param_shapes
 from .tokenizer import TOKENIZER_ID
 
-FORMAT = "depthlab-ckpt-v1"
+# v2: the block's MLP uses the sigmoid-form GELU, so v1 weights (trained with
+# the erf GELU) are refused rather than run under another activation.
+FORMAT = "depthlab-ckpt-v2"
 
 
 class CheckpointError(RuntimeError):
@@ -62,8 +64,9 @@ def load_checkpoint(directory: str | Path) -> tuple[ModelConfig, dict[str, np.nd
             raise CheckpointError(f"missing {required} in {directory}")
     config = json.loads((directory / "config.json").read_text())
     manifest = json.loads((directory / "manifest.json").read_text())
-    if config.get("format") != FORMAT or manifest.get("format") != FORMAT:
-        raise CheckpointError("unrecognized checkpoint format")
+    found = {config.get("format"), manifest.get("format")}
+    if found != {FORMAT}:
+        raise CheckpointError(f"unrecognized checkpoint format {sorted(map(str, found))}, expected {FORMAT!r}")
     cfg = ModelConfig(**config["model"])
     raw = (directory / "weights.bin").read_bytes()
 

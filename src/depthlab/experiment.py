@@ -298,14 +298,26 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def _mtimes(stage_dir: Path) -> dict[Path, int]:
+    return {p: p.stat().st_mtime_ns for p in stage_dir.rglob("*") if p.is_file()}
+
+
 def write_stage_manifest(
-    stage_dir: Path, stage: str, cfg: ExperimentConfig, out_root: Path, inputs: dict[str, str]
+    stage_dir: Path,
+    stage: str,
+    cfg: ExperimentConfig,
+    out_root: Path,
+    inputs: dict[str, str],
+    before: dict[Path, int],
 ) -> None:
     """Record the hashes of what the stage read (`inputs`, path -> sha256) and
-    of every file it wrote but this manifest; paths are relative to the run
-    root so reruns in different roots stay byte-identical."""
+    of every file this run wrote but this manifest: the files that are not
+    in `before`, the directory's modification times taken before the stage
+    ran, or whose time has changed since. Files an earlier run left are not
+    listed. Paths are relative to the run root so reruns in different roots
+    stay byte-identical."""
     own = stage_dir / "manifest.json"
-    outputs = sorted(p for p in stage_dir.rglob("*") if p.is_file() and p != own)
+    outputs = sorted(p for p, t in _mtimes(stage_dir).items() if p != own and before.get(p) != t)
     manifest = {
         "stage": stage,
         "config_hash": cfg.config_hash(),
@@ -685,7 +697,8 @@ def run_stage(name: str, cfg: ExperimentConfig, out: Path, **options) -> None:
     """Run stage `name` in the run root `out`: resolve the files it reads and
     refuse missing or stale ones, write its directory's
     `config_resolved.json`, run its body with `options`, and write its
-    manifest from the input hashes taken before the body ran."""
+    manifest from the input hashes and the directory's modification times
+    taken before the body ran."""
     stage = STAGES[name]
     inputs = []
     for pattern in stage.reads:
@@ -697,6 +710,7 @@ def run_stage(name: str, cfg: ExperimentConfig, out: Path, **options) -> None:
     _check_fresh(out, hashes)
     stage_dir = out / stage.dir
     stage_dir.mkdir(parents=True, exist_ok=True)
+    before = _mtimes(stage_dir)
     (stage_dir / "config_resolved.json").write_text(cfg.resolved_json())
     stage.body(cfg, out, stage_dir, inputs, **options)
-    write_stage_manifest(stage_dir, name, cfg, out, hashes)
+    write_stage_manifest(stage_dir, name, cfg, out, hashes, before)

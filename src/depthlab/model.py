@@ -1,17 +1,18 @@
 """Toy decoder-only transformer with a routed (gated) forward pass, KV cache
 with fill-in for skipped layers, and autoregressive generation.
 
-Blocks are pre-norm multi-head causal attention plus a GELU MLP, both with
-residual connections. Layer l is gated by a bit G^l: when 0 the hidden state
-passes through unchanged and the layer's KV entry for that position is
-deferred, to be filled later by projecting the position's incoming hidden
-state through this layer's own attention input path.
+Blocks are pre-norm multi-head causal attention plus an MLP with the
+sigmoid-form GELU u * sigmoid(1.702 u), both with residual connections. Layer
+l is gated by a bit G^l: when 0 the hidden state passes through unchanged and
+the layer's KV entry for that position is deferred, to be filled later by
+projecting the position's incoming hidden state through this layer's own
+attention input path.
 
 Where things live:
 - the block is `autodiff._block_forward`, written once: LN1, q/k/v, causal
   attention in query row blocks of `autodiff._ROW_BLOCK` rows (each block
   against the keys up to its last row, so no (H, T, T) array is built), wo,
-  LN2 and the GELU MLP. It can run the query side for a selection of its
+  LN2 and the MLP. It can run the query side for a selection of its
   rows only. `DecoderModel._block` calls it for every numpy forward: the
   cached `step` (one row) and `routed_forward` (the uncached suffix, T rows
   in one pass) append their k/v to the cache first and attend over the

@@ -12,7 +12,6 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-from scipy.special import chdtrc
 
 
 class InfeasibleBudget(ValueError):
@@ -284,6 +283,21 @@ def sweep(matrix: ScoreMatrix, beta_grid: Sequence[float]) -> SweepResult:
     return SweepResult(
         points=points, column_means=column_means, star_beta=star, columns_kept=table[3]
     )
+
+
+def chdtrc(dof: int, x: float) -> float:
+    """P(X > x) for X chi-square with integer `dof` degrees of freedom,
+    under Cephes' name and argument order for it. The closed form of the
+    upper incomplete gamma Q(dof / 2, x / 2): with y = x / 2, the sum of
+    y^a e^-y / Gamma(a + 1) over a = 0, 1, ..., dof/2 - 1 for even dof, and
+    erfc(sqrt(y)) plus that sum over a = 1/2, 3/2, ..., dof/2 - 1 for odd."""
+    if x <= 0.0:
+        return 1.0
+    y = 0.5 * x
+    p = math.erfc(math.sqrt(y)) if dof % 2 else 0.0
+    for a in (dof % 2 / 2 + i for i in range(dof // 2)):
+        p += math.exp(a * math.log(y) - y - math.lgamma(a + 1.0))
+    return min(p, 1.0)
 
 
 @dataclass

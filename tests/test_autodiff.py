@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-from scipy.special import erf
 
 from depthlab import autodiff
 from depthlab.autodiff import (
@@ -270,16 +269,59 @@ def test_embedding_rejects_out_of_range_ids():
         g.embedding(table, [0, 4])
 
 
-def test_block_gelu_matches_the_erf_formula():
-    # With w1 = 0 the MLP's pre-activation u is b1 on every row, so the block
-    # applies its GELU to a grid over [-40, 40].
-    grid = np.linspace(-40.0, 40.0, 8001)
+def _gelu_grid_block(grid):
+    """A width-2 block whose w1 is 0, so the MLP's pre-activation u is b1 =
+    `grid` on every row and the block applies its activation to the grid."""
     params = {name: np.zeros(shape) for name, shape in autodiff.block_param_shapes(2, grid.size).items()}
     params["b1"] = grid
-    keep = {}
     h = np.array([[1.0, -1.0], [0.5, 2.0]])
-    autodiff._block_forward(h, [params[name] for name in BLOCK_PARAMS], 1, 1e-5, keep=keep)
+    return h, [params[name] for name in BLOCK_PARAMS]
+
+
+def _sigmoid(z):
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+def test_block_gelu_matches_the_sigmoid_formula():
+    # The activation is u * s, s = (1 + tanh(0.851 u)) / 2, on a grid over
+    # [-40, 40]; s is sigmoid(1.702 u) of the exp form to within an ulp.
+    grid = np.linspace(-40.0, 40.0, 8001)
+    keep = {}
+    autodiff._block_forward(*_gelu_grid_block(grid), 1, 1e-5, keep=keep)
     assert np.array_equal(keep["u"], np.broadcast_to(grid, keep["u"].shape))
-    reference = grid * 0.5 * (1.0 + erf(grid / np.sqrt(2.0)))
+    reference = grid * (0.5 * (1.0 + np.tanh(0.851 * grid)))
     assert np.abs(keep["act"] - reference).max() <= 2e-15
-    assert np.abs(keep["cdf"] - 0.5 * (1.0 + erf(grid / np.sqrt(2.0)))).max() <= 2.3e-16
+    assert np.abs(0.5 * (1.0 + keep["t"]) - _sigmoid(1.702 * grid)).max() <= 2.3e-16
+
+
+def test_block_gelu_is_finite_without_warnings_at_large_inputs():
+    # u over [-1000, 1000]: forward and backward raise on any overflow,
+    # invalid or divide-by-zero and stay finite; the activation is u or 0
+    # once |u| is large.
+    grid = np.linspace(-1000.0, 1000.0, 20001)
+    g = Graph()
+    h, params = _gelu_grid_block(grid)
+    leaves = [g.leaf(p, requires_grad=True) for p in [h, *params]]
+    out = g.block(leaves[0], leaves[1:], num_heads=1, eps=1e-5)
+    with np.errstate(all="raise"):
+        backpropagate(g, g.reduce_sum(out))
+        keep = {}
+        autodiff._block_forward(h, params, 1, 1e-5, keep=keep)
+    assert all(np.isfinite(leaf.grad).all() for leaf in leaves)
+    big = np.abs(grid) >= 50.0
+    np.testing.assert_array_equal(keep["act"][:, big], np.broadcast_to(np.maximum(grid, 0.0)[big], (2, big.sum())))
+
+
+def test_block_gradients_match_finite_differences_at_large_preactivations():
+    # b1 puts the MLP's pre-activations at 4 <= |u| <= 12, where the
+    # derivative's tanh-tail term 0.851 u (1 - t^2) / 2 outweighs s on the
+    # negative side.
+    values, build, tolerance = _block_case(5).values
+    rng = np.random.default_rng(23)
+    signs = rng.choice([-1.0, 1.0], size=6)
+    values = {**values, "w1": 0.25 * values["w1"], "b1": signs * rng.uniform(6.0, 10.0, size=6)}
+    keep = {}
+    autodiff._block_forward(values["h"], [values[name] for name in BLOCK_PARAMS], 2, 1e-5, keep=keep)
+    assert 4.0 <= np.abs(keep["u"]).min() and np.abs(keep["u"]).max() <= 12.0
+    assert tape_gradient_error(build, values) <= tolerance

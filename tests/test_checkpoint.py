@@ -55,6 +55,17 @@ def test_missing_file_reported(tmp_path):
         load_checkpoint(tmp_path / "ckpt")
 
 
+def test_v1_checkpoint_is_refused(tmp_path):
+    # v1 weights were trained under the erf GELU; the block now runs the
+    # sigmoid form, so they must not load.
+    save_checkpoint(tmp_path / "ckpt", CFG, init_params(CFG, seed=4))
+    for name in ("config.json", "manifest.json"):
+        path = tmp_path / "ckpt" / name
+        path.write_text(path.read_text().replace("depthlab-ckpt-v2", "depthlab-ckpt-v1"))
+    with pytest.raises(CheckpointError, match="depthlab-ckpt-v1"):
+        load_checkpoint(tmp_path / "ckpt")
+
+
 def test_forward_drift_after_round_trip_below_1e5(tmp_path):
     params = init_params(CFG, seed=5)
     model = DecoderModel(CFG, params)

@@ -244,6 +244,17 @@ def test_stage_manifests_list_nested_checkpoint_manifests(run_dir):
     assert "controllers/manifest.json" not in controllers["outputs"]
 
 
+def test_stage_manifest_lists_only_the_files_its_run_wrote(run_dir, tmp_path):
+    out = tmp_path / "out"
+    shutil.copytree(run_dir / "out", out)
+    args = ["--config", str(run_dir / "tiny.ini"), "--out", str(out)]
+    assert main(["chi2", *args, "--beta", "2"]) == 0
+    assert main(["chi2", *args, "--beta", "4"]) == 0
+    assert (out / "chi2" / "chi2_beta2.json").exists()
+    manifest = json.loads((out / "chi2" / "manifest.json").read_text())
+    assert sorted(manifest["outputs"]) == ["chi2/chi2_beta4.json", "chi2/config_resolved.json"]
+
+
 def test_regenerated_predictions_make_the_oracle_outputs_stale(run_dir, tmp_path, capsys):
     out = tmp_path / "out"
     shutil.copytree(run_dir / "out", out)

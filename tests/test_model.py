@@ -2,7 +2,6 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from scipy.special import erf
 
 from depthlab.autodiff import BLOCK_PARAMS, Graph, backpropagate
 from depthlab.corpus import Example
@@ -477,7 +476,7 @@ def test_block_matches_naive_attention(long_model, tq, tk):
     attn = naive_attention(q, keys, values, LONG_CFG.num_heads)
     mid = h + attn @ prm[p + "wo"] + prm[p + "bo"]
     u = m._ln(mid, p + "ln2") @ prm[p + "w1"] + prm[p + "b1"]
-    mlp = 0.5 * u * (1.0 + erf(u / np.sqrt(2.0))) @ prm[p + "w2"] + prm[p + "b2"]
+    mlp = u / (1.0 + np.exp(-1.702 * u)) @ prm[p + "w2"] + prm[p + "b2"]
     kv = None if cache is None else lambda k, v: cache.kv_matrices(layer, cache.append_computed(layer, k, v))
     np.testing.assert_allclose(m._block(layer, h, kv), mid + mlp, rtol=0, atol=1e-12)
 

@@ -36,11 +36,11 @@ def test_import_pins_blas_threads_unless_set(env_vars, expected):
     assert blas_threads in (expected[1], "n/a")
 
 
-def test_cli_import_leaves_scipy_stats_unloaded():
-    # scipy.stats roughly doubles the resident memory of a process that
-    # loads only numpy and scipy.special; the package uses two special
-    # functions and must not pull it in.
+def test_cli_import_loads_no_scipy():
+    # The runtime depends on numpy alone: importing scipy.special roughly
+    # doubles a fresh interpreter's import time and resident memory, and
+    # scipy.stats doubles it again. scipy is a test-only dependency.
     env = {**os.environ, "PYTHONPATH": SRC}
-    code = "import sys, depthlab.cli; print('scipy.stats' in sys.modules)"
+    code = "import sys, depthlab.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"

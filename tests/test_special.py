@@ -1,10 +1,14 @@
 """The chi-square tail function behind chi_square_homogeneity's p-value.
 
-The oracle takes the upper tail from scipy.special.chdtrc; these tests pin
-the values the length-bin analysis depends on.
+The oracle computes the upper tail in closed form with the standard
+library (`depthlab.oracle.chdtrc`); these tests compare it with
+scipy.special.chdtrc, a test-only dependency, and pin the values the
+length-bin analysis depends on.
 """
 
+import numpy as np
 import pytest
+from scipy import special
 
 from depthlab.oracle import BudgetAssignment, chdtrc, chi_square_homogeneity
 
@@ -20,6 +24,17 @@ def _assignment(chosen_costs, all_costs):
         total_cost=sum(chosen_costs),
         selection_pct={c: 100.0 * chosen_costs.count(c) / n for c in all_costs},
     )
+
+
+@pytest.mark.parametrize("dof", [*range(1, 13), 59, 60, 229, 230])
+def test_chdtrc_matches_scipy(dof):
+    # Relative error 1e-12 where the tail exceeds 1e-12, absolute 1e-15 below.
+    xs = np.concatenate([np.geomspace(0.01, 1200.0, 400), np.arange(1.0, 1201.0)])
+    ours = np.array([chdtrc(dof, float(x)) for x in xs])
+    theirs = special.chdtrc(dof, xs)
+    big = theirs > 1e-12
+    assert (np.abs(ours[big] - theirs[big]) / theirs[big]).max() <= 1e-12
+    assert np.abs(ours[~big] - theirs[~big]).max(initial=0.0) <= 1e-15
 
 
 def test_chi2_quantile_95_dof1():
