@@ -139,15 +139,6 @@ class Graph:
             raise ShapeError("embedding", f"id out of range for table with {table.shape[0]} rows")
         return self._record("embedding", (table,), table.data[idx], {"ids": idx})
 
-    def slice(self, x: Tensor, key: tuple[slice, ...]) -> Tensor:
-        spans = tuple((s.start, s.stop) for s in key)
-        return self._record("slice", (x,), x.data[key].copy(), {"spans": spans})
-
-    def reshape(self, x: Tensor, shape: tuple[int, ...]) -> Tensor:
-        if int(np.prod(shape)) != x.data.size:
-            raise ShapeError("reshape", f"cannot reshape {x.shape} to {shape}")
-        return self._record("reshape", (x,), x.data.reshape(shape).copy(), {"shape": tuple(shape)})
-
     def reduce_sum(self, x: Tensor, axis: int | None = None) -> Tensor:
         return self._record("reduce_sum", (x,), np.asarray(x.data.sum(axis=axis)), {"axis": axis})
 
@@ -418,12 +409,6 @@ def _vjp_embedding(g, ins, out, at):
     return [gt]
 
 
-def _vjp_slice(g, ins, out, at):
-    gx = np.zeros_like(ins[0])
-    gx[tuple(np.s_[a:b] for a, b in at["spans"])] = g
-    return [gx]
-
-
 def _vjp_reduce_sum(g, ins, out, at):
     axis = at["axis"]
     if axis is None:
@@ -449,8 +434,6 @@ _VJP: dict[str, Callable] = {
     "softmax": _vjp_softmax,
     "log_softmax": _vjp_log_softmax,
     "embedding": _vjp_embedding,
-    "slice": _vjp_slice,
-    "reshape": lambda g, ins, out, at: [g.reshape(ins[0].shape).copy()],
     "reduce_sum": _vjp_reduce_sum,
     "take_per_row": _vjp_take_per_row,
     "straight_through": lambda g, ins, out, at: [g],

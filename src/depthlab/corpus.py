@@ -5,7 +5,7 @@ prompt/label pairs so prompt-masked completion training runs end to end."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -14,6 +14,8 @@ import numpy as np
 from . import tokenizer
 
 TASKS = ("copy", "reverse", "upper", "add")
+MIN_WORD_LEN, MAX_WORD_LEN = 3, 6
+MAX_OPERAND = 12
 
 
 @dataclass(frozen=True)
@@ -41,9 +43,6 @@ class CorpusSpec:
     tasks: tuple[str, ...] = TASKS
     min_words: int = 1
     max_words: int = 3
-    min_word_len: int = 3
-    max_word_len: int = 6
-    max_operand: int = 12
     # Restricted letter pool keeps the tasks learnable within desk-scale
     # step budgets; widen toward the full alphabet for harder corpora.
     alphabet: str = "abcdefghij"
@@ -64,7 +63,7 @@ def _random_words(rng: np.random.Generator, spec: CorpusSpec) -> list[str]:
     words = []
     letters = spec.alphabet
     for _ in range(count):
-        length = int(rng.integers(spec.min_word_len, spec.max_word_len + 1))
+        length = int(rng.integers(MIN_WORD_LEN, MAX_WORD_LEN + 1))
         words.append("".join(letters[i] for i in rng.integers(0, len(letters), size=length)))
     return words
 
@@ -77,8 +76,8 @@ def gen_corpus(spec: CorpusSpec, seed: int) -> list[Example]:
     for i in range(spec.size):
         task = spec.tasks[int(rng.integers(0, len(spec.tasks)))]
         if task == "add":
-            a = int(rng.integers(0, spec.max_operand + 1))
-            b = int(rng.integers(0, spec.max_operand + 1))
+            a = int(rng.integers(0, MAX_OPERAND + 1))
+            b = int(rng.integers(0, MAX_OPERAND + 1))
             prompt = f"add: {a} {b}"
             label = str(a + b)
         else:

@@ -4,9 +4,9 @@ training, controller sweeps, prediction sets, similarity probe, budget
 oracle, chi-square test, report merging).
 
 `STAGES` declares each stage once: its subcommand, its directory under the
-run root, the files it reads and its body. `run_stage` resolves those files,
-refuses missing ones and ones their producers' manifests no longer list,
-runs the body and writes the stage's manifest."""
+run root, the files it reads and its body. `run_stage` resolves those files
+from their producers' manifests, refuses missing and stale ones, runs the
+body and writes the stage's manifest."""
 
 from __future__ import annotations
 
@@ -17,7 +17,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-from pathlib import Path
+from pathlib import Path, PurePosixPath
 from typing import Callable, Sequence
 
 import numpy as np
@@ -119,30 +119,6 @@ def _floats(text: str) -> list[float]:
     return [float(v) for v in text.split(",") if v.strip()]
 
 
-def parse_strategies(text: str, num_layers: int) -> list[RoutePlan]:
-    """Strategy templates at full cost from a comma-separated list of ee,
-    uls, rls, rls_no1 and full; empty names are skipped."""
-    L = num_layers
-    plans = []
-    for name in text.split(","):
-        name = name.strip()
-        if not name:
-            continue
-        if name == "ee":
-            plans.append(RoutePlan.early_exit(L, L))
-        elif name == "uls":
-            plans.append(RoutePlan.uniform_skip(L, L))
-        elif name == "rls":
-            plans.append(RoutePlan.random_skip(L, L, enforce_first=True))
-        elif name == "rls_no1":
-            plans.append(RoutePlan.random_skip(L, L, enforce_first=False))
-        elif name == "full":
-            plans.append(RoutePlan.full(L))
-        else:
-            raise ValueError(f"unknown strategy {name!r}")
-    return plans
-
-
 @dataclass
 class ExperimentConfig:
     sections: dict[str, dict[str, str]]
@@ -177,7 +153,7 @@ class ExperimentConfig:
         for accessor in (cfg.corpus_spec, cfg.train_config, cfg.controller_train_config, cfg.alpha_grid,
                          cfg.input_modes, cfg.cost_grid, cfg.generate_costs, cfg.budget_grid):
             accessor()
-        parse_strategies(cfg.get("routing", "strategies"), cfg.model_config().num_layers)
+        RoutePlan.parse(cfg.get("routing", "strategies"), cfg.model_config().num_layers)
         cfg.getfloat("controllers", "temperature")
         for section, key in (("probe", "max_new"), ("probe", "max_sequences"), ("oracle", "bin_width"),
                              ("oracle", "num_bins")):
@@ -339,8 +315,7 @@ def _check_fresh(out: Path, hashes: dict[str, str]) -> None:
     the one its producer's manifest lists among its outputs, and so must each
     input recorded by every manifest upstream, followed transitively; that
     step compares manifests and hashes nothing. A file whose producer
-    directory has no manifest, or whose producer's manifest does not list it,
-    is not checked."""
+    directory has no manifest is not checked."""
     manifests: dict[str, dict | None] = {}
     pending: list[tuple[str | None, dict[str, str]]] = [(None, hashes)]  # (reader, what it read)
     while pending:
@@ -352,7 +327,7 @@ def _check_fresh(out: Path, hashes: dict[str, str]) -> None:
                 if manifests[top] is not None:
                     pending.append((manifests[top]["stage"], manifests[top]["inputs"]))
             producer = manifests[top]
-            if producer is not None and producer["outputs"].get(rel, digest) != digest:
+            if producer is not None and producer["outputs"].get(rel) != digest:
                 what = f"`{reader}` read a {rel} other than" if reader else f"{rel} differs from"
                 raise StaleArtifact(
                     f"{what} the one `{producer['stage']}` last wrote — rerun `{reader or producer['stage']}`"
@@ -478,12 +453,9 @@ def _generate(cfg: ExperimentConfig, out: Path, stage: Path, inputs: list[Path])
     test_examples = _load_split(out, "test")
     costs = cfg.generate_costs()
     max_new = cfg.getint("generate", "max_new")
-    L = model.cfg.num_layers
 
     for cost in costs:
-        if not 1 <= cost <= L:
-            raise ValueError(f"generation cost {cost} outside [1, {L}]")
-        plan = RoutePlan.uniform_skip(L, cost)
+        plan = RoutePlan.uniform_skip(model.cfg.num_layers, cost)
         with open(stage / f"uls_c{cost}.jsonl", "w") as fh:
             for ex in test_examples:
                 prompt = tokenizer.encode(ex.prompt, add_bos=True)
@@ -511,7 +483,7 @@ def _probe(cfg: ExperimentConfig, out: Path, stage: Path, inputs: list[Path]) ->
     report = probe(
         model,
         prompts,
-        parse_strategies(cfg.get("routing", "strategies"), model.cfg.num_layers),
+        RoutePlan.parse(cfg.get("routing", "strategies"), model.cfg.num_layers),
         cfg.cost_grid(),
         seed=cfg.seed,
         max_new=cfg.getint("probe", "max_new"),
@@ -702,8 +674,14 @@ def run_stage(name: str, cfg: ExperimentConfig, out: Path, **options) -> None:
     stage = STAGES[name]
     inputs = []
     for pattern in stage.reads:
-        found = sorted(out.glob(pattern))
-        if not found:
+        # Files a producer's manifest lists, so a file an earlier run left is
+        # not read; without a manifest (hand-written inputs), those on disk.
+        manifest = _read_manifest(out, pattern.split("/", 1)[0])
+        if manifest is None:
+            found = sorted(out.glob(pattern))
+        else:
+            found = sorted(out / rel for rel in manifest["outputs"] if PurePosixPath(rel).match(pattern))
+        if not found or not all(p.is_file() for p in found):
             raise _missing(out, pattern)
         inputs += found
     hashes = {p.relative_to(out).as_posix(): _sha256(p) for p in inputs}

@@ -533,8 +533,7 @@ def build_graph_forward(
     T = len(ids)
     eps = cfg.layer_norm_eps
     tok = g.embedding(leaves["tok_emb"], ids)
-    pos = g.slice(leaves["pos_emb"], (np.s_[0:T], np.s_[0 : cfg.hidden_dim]))
-    h = g.add(tok, pos)
+    h = g.add(tok, g.embedding(leaves["pos_emb"], range(T)))
 
     for l in range(1, cfg.num_layers + 1):
         if skip_layers and l in skip_layers:

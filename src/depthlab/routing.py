@@ -3,7 +3,7 @@ and random layer skip."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -90,7 +90,9 @@ def rls_mask(
 
 @dataclass(frozen=True)
 class RoutePlan:
-    """A routing strategy plus the parameters needed to realize per-step masks.
+    """A routing strategy at one cost, the number of layers each step
+    executes (for early exit, the exit layer), plus what realizing its
+    per-step masks needs.
 
     Deterministic kinds (full / early exit / uniform skip) realize the same
     mask every step; random skip redraws per step from the rng passed to
@@ -100,74 +102,61 @@ class RoutePlan:
 
     kind: PlanKind
     num_layers: int
-    cost: int | None = None
-    exit_layer: int | None = None
+    cost: int
     enforce_first: bool = True
     redraw_per_step: bool = True
 
     def __post_init__(self) -> None:
-        if self.kind is PlanKind.EARLY_EXIT and self.exit_layer is None:
-            raise ValueError("early exit plan needs exit_layer")
-        if self.kind in (PlanKind.UNIFORM_SKIP, PlanKind.RANDOM_SKIP) and self.cost is None:
-            raise ValueError(f"{self.kind.value} plan needs cost")
+        if not 1 <= self.cost <= self.num_layers:
+            raise ValueError(f"cost {self.cost} outside [1, {self.num_layers}]")
+        if self.kind is PlanKind.FULL and self.cost != self.num_layers:
+            raise ValueError("full plan runs at cost L only")
 
     @staticmethod
     def full(num_layers: int) -> "RoutePlan":
-        return RoutePlan(PlanKind.FULL, num_layers)
+        return RoutePlan(PlanKind.FULL, num_layers, num_layers)
 
     @staticmethod
-    def early_exit(num_layers: int, exit_layer: int) -> "RoutePlan":
-        return RoutePlan(PlanKind.EARLY_EXIT, num_layers, exit_layer=exit_layer)
+    def early_exit(num_layers: int, cost: int) -> "RoutePlan":
+        return RoutePlan(PlanKind.EARLY_EXIT, num_layers, cost)
 
     @staticmethod
     def uniform_skip(num_layers: int, cost: int) -> "RoutePlan":
-        return RoutePlan(PlanKind.UNIFORM_SKIP, num_layers, cost=cost)
+        return RoutePlan(PlanKind.UNIFORM_SKIP, num_layers, cost)
 
     @staticmethod
     def random_skip(
         num_layers: int, cost: int, enforce_first: bool = True, redraw_per_step: bool = True
     ) -> "RoutePlan":
-        return RoutePlan(
-            PlanKind.RANDOM_SKIP,
-            num_layers,
-            cost=cost,
-            enforce_first=enforce_first,
-            redraw_per_step=redraw_per_step,
-        )
+        return RoutePlan(PlanKind.RANDOM_SKIP, num_layers, cost, enforce_first, redraw_per_step)
+
+    @staticmethod
+    def parse(names: str, num_layers: int) -> list["RoutePlan"]:
+        """Strategy templates at full cost from a comma-separated list of
+        names, each a template's `label` without its cost: full, ee, uls, rls
+        and rls_no1. Empty names are skipped."""
+        L = num_layers
+        templates = [RoutePlan(kind, L, L) for kind in PlanKind] + [RoutePlan.random_skip(L, L, enforce_first=False)]
+        by_name = {t.label().replace(f"_{L}", "", 1): t for t in templates}
+        try:
+            return [by_name[name] for name in filter(None, (n.strip() for n in names.split(",")))]
+        except KeyError as exc:
+            raise ValueError(f"unknown strategy {exc.args[0]!r}") from None
 
     def label(self) -> str:
+        """`full`, or the kind and cost, e.g. `ee_4`, `uls_4`, `rls_4_no1`."""
         if self.kind is PlanKind.FULL:
             return "full"
-        if self.kind is PlanKind.EARLY_EXIT:
-            return f"ee_{self.exit_layer}"
-        if self.kind is PlanKind.UNIFORM_SKIP:
-            return f"uls_{self.cost}"
-        suffix = "" if self.enforce_first else "_no1"
-        return f"rls_{self.cost}{suffix}"
+        no1 = "_no1" if self.kind is PlanKind.RANDOM_SKIP and not self.enforce_first else ""
+        return f"{self.kind.value}_{self.cost}{no1}"
 
     def with_cost(self, cost: int) -> "RoutePlan":
-        if self.kind is PlanKind.FULL:
-            if cost != self.num_layers:
-                raise ValueError("full plan runs at cost L only")
-            return self
-        if self.kind is PlanKind.EARLY_EXIT:
-            return RoutePlan(self.kind, self.num_layers, exit_layer=cost)
-        return RoutePlan(
-            self.kind,
-            self.num_layers,
-            cost=cost,
-            enforce_first=self.enforce_first,
-            redraw_per_step=self.redraw_per_step,
-        )
+        return replace(self, cost=cost)
 
     def realize(self, rng: np.random.Generator | None = None, previous: RouteMask | None = None) -> RouteMask:
         """Produce the mask for one generation step."""
-        if self.kind is PlanKind.FULL:
-            return full_mask(self.num_layers)
-        if self.kind is PlanKind.EARLY_EXIT:
-            assert self.exit_layer is not None
-            return ee_mask(self.num_layers, self.exit_layer)
-        assert self.cost is not None
+        if self.kind in (PlanKind.FULL, PlanKind.EARLY_EXIT):
+            return ee_mask(self.num_layers, self.cost)
         if self.kind is PlanKind.UNIFORM_SKIP:
             return uls_mask(self.num_layers, self.cost)
         if previous is not None and not self.redraw_per_step:

@@ -374,7 +374,7 @@ def build_controller_sequence_graph(
         )
         noise = g.leaf(gumbel_noise(gumbel_rng, (t, 2)))
         surrogate = g.softmax(g.scale(g.add(logits, noise), 1.0 / bank.gumbel.temperature))
-        exec_col = g.reshape(g.slice(surrogate, (np.s_[0:t], np.s_[1:2])), (t,))
+        exec_col = g.take_per_row(surrogate, np.ones(t, dtype=np.int64))
         if not bank.gumbel.hard_forward:
             gate = exec_col
             realized[:, layer - 1] = exec_col.data

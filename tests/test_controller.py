@@ -100,7 +100,7 @@ def _soft_gate_loss(g, p, h, noise, teacher_lp):
     h = g.leaf(h)
     logits_gate = g.add_bias(g.matmul(h, p["w_gate"]), p["b_gate"])
     surrogate = g.softmax(g.scale(g.add(logits_gate, g.leaf(noise)), 1.0 / 0.8))
-    gate = g.reshape(g.slice(surrogate, (np.s_[0:t], np.s_[1:2])), (t,))
+    gate = g.take_per_row(surrogate, np.ones(t, dtype=np.int64))
     blended = g.add(g.scale_rows(g.softmax(h), gate), g.scale_rows(h, g.add(g.leaf(np.ones(t)), g.scale(gate, -1.0))))
     logits = g.matmul(blended, p["w_out"])
     weights = np.array([0.0, 0.5, 0.5])
@@ -165,7 +165,7 @@ def test_straight_through_forward_is_binary_backward_finite():
     logits = g.leaf(rng.normal(size=(4, 2)), requires_grad=True)
     noise = g.leaf(rng.gumbel(size=(4, 2)))
     surrogate = g.softmax(g.scale(g.add(logits, noise), 1.0))
-    exec_col = g.reshape(g.slice(surrogate, (np.s_[0:4], np.s_[1:2])), (4,))
+    exec_col = g.take_per_row(surrogate, np.ones(4, dtype=np.int64))
     bits = surrogate.data.argmax(axis=1).astype(np.float64)
     gate = g.straight_through(exec_col, bits)
     assert set(np.unique(gate.data)) <= {0.0, 1.0}

@@ -275,6 +275,32 @@ def test_regenerated_predictions_make_the_oracle_outputs_stale(run_dir, tmp_path
     assert main(["chi2", *args]) == 0
 
 
+def test_oracle_reads_only_the_prediction_sets_the_last_generate_wrote(run_dir, tmp_path, capsys):
+    out = tmp_path / "out"
+    shutil.copytree(run_dir / "out", out)
+    one_cost = tmp_path / "one_cost.ini"
+    one_cost.write_text((run_dir / "tiny.ini").read_text().replace("cost_fractions = 0.5,1.0", "cost_fractions = 1.0"))
+    args = ["--config", str(one_cost), "--out", str(out)]
+    assert main(["generate", *args]) == 0
+    assert (out / "predictions" / "uls_c2.jsonl").exists()  # left by the earlier run
+
+    # The old oracle's matrix holds a set the last generate did not write.
+    assert main(["chi2", *args]) == 1
+    err = capsys.readouterr().err
+    assert "predictions/uls_c2.jsonl" in err and "rerun `oracle`" in err
+    assert main(["oracle", *args]) == 0
+    header = (out / "oracle" / "score_matrix.csv").read_text().splitlines()[0]
+    assert header == "id,label_len,cost_4,score_4"
+    manifest = json.loads((out / "oracle" / "manifest.json").read_text())
+    assert sorted(manifest["inputs"]) == ["predictions/uls_c4.jsonl"]
+    assert main(["chi2", *args]) == 0
+
+    # A file the manifest lists but the run root lacks is missing.
+    (out / "predictions" / "uls_c4.jsonl").unlink()
+    assert main(["oracle", *args]) == 1
+    assert "run `generate` first" in capsys.readouterr().err
+
+
 def test_a_stage_refuses_an_input_edited_after_its_producer_wrote_it(run_dir, tmp_path, capsys):
     out = tmp_path / "out"
     shutil.copytree(run_dir / "out", out)

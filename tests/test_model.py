@@ -392,7 +392,7 @@ def test_tape_forward_layerdrop_leaves_dropped_params_off_graph(model, monkeypat
     # The fine-tune tape of a default-config model with two layers dropped:
     # one `block` node per executed layer, fed the layer's parameter leaves,
     # and no per-op chain inside a block. Besides the parameter leaves the
-    # tape holds the embedding, the final layer norm, the head and the loss.
+    # tape holds the two embeddings, the final layer norm, the head and the loss.
     tapes = []
     monkeypatch.setattr(training, "backpropagate", lambda g, loss: tapes.append(g) or backpropagate(g, loss))
     default = DecoderModel(ModelConfig())
@@ -401,7 +401,7 @@ def test_tape_forward_layerdrop_leaves_dropped_params_off_graph(model, monkeypat
     ops = Counter(node.op for node in g.nodes)
     assert ops.pop("leaf") == len(default.params) + 1
     assert ops == {
-        "embedding": 1, "slice": 1, "add": 1, "block": default.cfg.num_layers - 2, "layer_norm": 1,
+        "embedding": 2, "add": 1, "block": default.cfg.num_layers - 2, "layer_norm": 1,
         "matmul": 1, "add_bias": 1, "log_softmax": 1, "take_per_row": 1, "multiply": 1, "reduce_sum": 1, "scale": 1,
     }
     fed = [[g.nodes[i].tensor.data for i in node.input_ids[1:]] for node in g.nodes if node.op == "block"]

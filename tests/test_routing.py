@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from depthlab.routing import RouteMask, RoutePlan, ee_mask, full_mask, rls_mask, uls_mask
+from depthlab.routing import PlanKind, RouteMask, RoutePlan, ee_mask, full_mask, rls_mask, uls_mask
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -138,3 +138,38 @@ def test_plan_redraw_flag():
 
 def test_plan_serializes_as_bit_string():
     assert str(uls_mask(6, 2)) == "100100"
+
+
+@pytest.mark.parametrize(
+    "name,kind,enforce_first,label",
+    [
+        ("ee", PlanKind.EARLY_EXIT, True, "ee_{c}"),
+        ("uls", PlanKind.UNIFORM_SKIP, True, "uls_{c}"),
+        ("rls", PlanKind.RANDOM_SKIP, True, "rls_{c}"),
+        ("rls_no1", PlanKind.RANDOM_SKIP, False, "rls_{c}_no1"),
+        ("full", PlanKind.FULL, True, "full"),
+    ],
+)
+def test_strategy_names_parse_to_plans_that_realize_their_cost(name, kind, enforce_first, label):
+    L = 6
+    (template,) = RoutePlan.parse(f" {name} ,", L)
+    for c in [L] if kind is PlanKind.FULL else range(1, L + 1):
+        plan = template.with_cost(c)
+        assert plan.kind is kind and plan.enforce_first is enforce_first
+        assert plan.label() == label.format(c=c)
+        assert plan.realize(np.random.default_rng(c)).cost == c
+
+
+def test_strategy_grammar_refuses_unknown_names_and_out_of_range_costs():
+    for text in ("ee,rsl", "ee_no1", "uls_4"):
+        name = text.split(",")[-1]
+        with pytest.raises(ValueError, match=f"unknown strategy '{name}'"):
+            RoutePlan.parse(text, 8)
+    (full,) = RoutePlan.parse("full", 8)
+    assert full.with_cost(8) == full
+    with pytest.raises(ValueError, match="cost L only"):
+        full.with_cost(7)
+    for template in RoutePlan.parse("ee,uls,rls,rls_no1", 8):
+        for cost in (0, 9):
+            with pytest.raises(ValueError, match=f"cost {cost} outside"):
+                template.with_cost(cost)
