@@ -3,7 +3,7 @@ differentiation. Just enough machinery for a toy decoder transformer and
 linear gate controllers: strict shapes, no implicit broadcasting, explicit
 ops for the few structured patterns (bias add, per-row scaling), and one
 fused op for a whole transformer block, whose forward kernel the numpy model
-shares."""
+shares. A tape is single-use: the backward pass releases what it has used."""
 
 from __future__ import annotations
 
@@ -27,7 +27,8 @@ class NonFiniteError(RuntimeError):
 @dataclass
 class Tensor:
     """Row-major float64 array plus gradient bookkeeping. `node_id` indexes
-    the owning graph's tape."""
+    the owning graph's tape. An op's output `data` is None once
+    `backpropagate` has consumed its node."""
 
     data: np.ndarray
     requires_grad: bool = False
@@ -55,13 +56,15 @@ class Graph:
 
     Built eagerly: each op method computes its output immediately and records
     a node with the attrs its VJP needs. The tape is then swept in reverse for
-    gradients (`backpropagate`); it is not re-run. Graphs are append-only; a
-    finished graph is safe to share read-only, but a backward pass is
-    single-threaded.
+    gradients (`backpropagate`) once; it is not re-run. The sweep consumes
+    it: every op node up to the loss has its kept attrs and, the loss
+    aside, its output released, and `backpropagated` is set, so a second
+    sweep is refused. Leaves keep their data and gain their grads.
     """
 
     def __init__(self) -> None:
         self.nodes: list[Node] = []
+        self.backpropagated = False
 
     # -- construction -------------------------------------------------------
 
@@ -449,6 +452,13 @@ def backpropagate(graph: Graph, loss: Tensor) -> None:
     """Reverse sweep from a scalar loss. Installs `grad` on every
     requires_grad leaf; fan-out accumulates additively.
 
+    The sweep consumes the tape: once a node's VJP has run (or the node,
+    taking no gradient, has been passed), its incoming gradient, its kept
+    attrs and its output are released (`tensor.data` becomes None); every
+    node that reads them comes later on the tape and has already run. The
+    loss keeps its data and every leaf its data and grad. A second call on
+    the same graph raises ValueError.
+
     No VJP writes into a gradient and accumulation is out of place, so a
     first gradient is kept as the VJP returned it, not copied. Some VJPs
     pass their incoming gradient through (`add` returns it twice), so a leaf
@@ -456,21 +466,25 @@ def backpropagate(graph: Graph, loss: Tensor) -> None:
     before it is installed."""
     if loss.data.size != 1:
         raise ValueError(f"backpropagate: loss must be scalar, got shape {loss.shape}")
+    if graph.backpropagated:
+        raise ValueError("backpropagate: the graph was already backpropagated; build a new one")
+    graph.backpropagated = True
     grads: list[np.ndarray | None] = [None] * len(graph.nodes)
     grads[loss.node_id] = np.ones_like(loss.data)
     for i in range(loss.node_id, -1, -1):
-        g = grads[i]
-        if g is None:
-            continue
         node = graph.nodes[i]
         if node.op == "leaf":
             continue
-        ins = [graph.nodes[j].tensor.data for j in node.input_ids]
-        input_grads = _VJP[node.op](g, ins, node.tensor.data, node.attrs)
-        for j, gi in zip(node.input_ids, input_grads):
-            if not graph.nodes[j].tensor.requires_grad:
-                continue
-            grads[j] = gi if grads[j] is None else grads[j] + gi
+        g, grads[i] = grads[i], None
+        if g is not None:
+            ins = [graph.nodes[j].tensor.data for j in node.input_ids]
+            input_grads = _VJP[node.op](g, ins, node.tensor.data, node.attrs)
+            for j, gi in zip(node.input_ids, input_grads):
+                if graph.nodes[j].tensor.requires_grad:
+                    grads[j] = gi if grads[j] is None else grads[j] + gi
+        node.attrs = {}
+        if i != loss.node_id:
+            node.tensor.data = None
     installed: set[int] = set()
     for i, node in enumerate(graph.nodes):
         if node.op == "leaf" and node.tensor.requires_grad:

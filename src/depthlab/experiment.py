@@ -18,7 +18,7 @@ import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path, PurePosixPath
-from typing import Callable, Sequence
+from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 
@@ -103,20 +103,15 @@ DEFAULTS: dict[str, dict[str, str]] = {
 }
 
 
+T = TypeVar("T")
+
+
 class MissingArtifact(FileNotFoundError):
     pass
 
 
 class StaleArtifact(RuntimeError):
     pass
-
-
-def _ints(text: str) -> list[int]:
-    return [int(v) for v in text.split(",") if v.strip()]
-
-
-def _floats(text: str) -> list[float]:
-    return [float(v) for v in text.split(",") if v.strip()]
 
 
 @dataclass
@@ -151,9 +146,8 @@ class ExperimentConfig:
             # the controller sweep reports a confidence interval over them
             raise ValueError("[controllers] eval_sequences must be >= 2")
         for accessor in (cfg.corpus_spec, cfg.train_config, cfg.controller_train_config, cfg.alpha_grid,
-                         cfg.input_modes, cfg.cost_grid, cfg.generate_costs, cfg.budget_grid):
+                         cfg.input_modes, cfg.strategies, cfg.cost_grid, cfg.generate_costs, cfg.budget_grid):
             accessor()
-        RoutePlan.parse(cfg.get("routing", "strategies"), cfg.model_config().num_layers)
         cfg.getfloat("controllers", "temperature")
         for section, key in (("probe", "max_new"), ("probe", "max_sequences"), ("oracle", "bin_width"),
                              ("oracle", "num_bins")):
@@ -170,6 +164,17 @@ class ExperimentConfig:
 
     def getfloat(self, section: str, key: str) -> float:
         return float(self.get(section, key))
+
+    def getlist(self, section: str, key: str, parse: Callable[[str], T], distinct: bool = True) -> list[T]:
+        """The comma-separated values of a key, each parsed. A list without
+        a value is refused, and so is a repeated value when `distinct`."""
+        text = self.get(section, key)
+        values = [parse(v.strip()) for v in text.split(",") if v.strip()]
+        if not values:
+            raise ValueError(f"[{section}] {key} lists no value")
+        if distinct and len(set(values)) < len(values):
+            raise ValueError(f"[{section}] {key} repeats a value: {text!r}")
+        return values
 
     def getbool(self, section: str, key: str) -> bool:
         value = self.get(section, key)
@@ -192,12 +197,12 @@ class ExperimentConfig:
         )
 
     def corpus_spec(self) -> CorpusSpec:
-        splits = _floats(self.get("corpus", "splits"))
+        splits = self.getlist("corpus", "splits", float, distinct=False)
         if len(splits) != 3:
             raise ValueError(f"[corpus] splits must be three fractions, got {self.get('corpus', 'splits')!r}")
         return CorpusSpec(
             size=self.getint("corpus", "size"),
-            tasks=tuple(t.strip() for t in self.get("corpus", "tasks").split(",") if t.strip()),
+            tasks=tuple(self.getlist("corpus", "tasks", str, distinct=False)),
             min_words=self.getint("corpus", "min_words"),
             max_words=self.getint("corpus", "max_words"),
             alphabet=self.get("corpus", "alphabet"),
@@ -233,26 +238,33 @@ class ExperimentConfig:
         )
 
     def alpha_grid(self) -> list[float]:
-        return _floats(self.get("controllers", "alpha_grid"))
+        return self.getlist("controllers", "alpha_grid", float)
 
     def input_modes(self) -> list[InputMode]:
-        return [InputMode(m.strip()) for m in self.get("controllers", "input_modes").split(",") if m.strip()]
+        return self.getlist("controllers", "input_modes", InputMode)
+
+    def strategies(self) -> list[RoutePlan]:
+        self.getlist("routing", "strategies", str)  # refuses an empty or repeated list, naming the key
+        return RoutePlan.parse(self.get("routing", "strategies"), self.model_config().num_layers)
 
     def cost_grid(self) -> list[int]:
-        costs, L = _ints(self.get("routing", "cost_grid")), self.model_config().num_layers
+        costs, L = self.getlist("routing", "cost_grid", int), self.model_config().num_layers
         if not all(1 <= c <= L for c in costs):
             raise ValueError(f"[routing] cost_grid {costs} has a cost outside 1..{L}")
         return costs
 
     def generate_costs(self) -> list[int]:
+        """Costs of the fractions of L, each rounded and at least 1."""
         L = self.model_config().num_layers
         costs = []
-        for frac in _floats(self.get("generate", "cost_fractions")):
-            costs.append(max(1, min(L, round(frac * L))))
+        for frac in self.getlist("generate", "cost_fractions", float, distinct=False):
+            if not 0 < frac <= 1:
+                raise ValueError(f"[generate] cost_fractions value {frac:g} is outside (0, 1]")
+            costs.append(max(1, round(frac * L)))
         return sorted(set(costs))
 
     def budget_grid(self) -> list[float]:
-        return _floats(self.get("oracle", "budget_grid"))
+        return self.getlist("oracle", "budget_grid", float)
 
     def resolved_json(self) -> str:
         return json.dumps(self.sections, indent=2, sort_keys=True) + "\n"
@@ -483,7 +495,7 @@ def _probe(cfg: ExperimentConfig, out: Path, stage: Path, inputs: list[Path]) ->
     report = probe(
         model,
         prompts,
-        RoutePlan.parse(cfg.get("routing", "strategies"), model.cfg.num_layers),
+        cfg.strategies(),
         cfg.cost_grid(),
         seed=cfg.seed,
         max_new=cfg.getint("probe", "max_new"),

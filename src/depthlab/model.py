@@ -534,6 +534,7 @@ def build_graph_forward(
     eps = cfg.layer_norm_eps
     tok = g.embedding(leaves["tok_emb"], ids)
     h = g.add(tok, g.embedding(leaves["pos_emb"], range(T)))
+    ones = None if layer_gates is None else g.leaf(np.ones(T))
 
     for l in range(1, cfg.num_layers + 1):
         if skip_layers and l in skip_layers:
@@ -544,7 +545,6 @@ def build_graph_forward(
         if gate is None:
             h = out
         else:
-            ones = g.leaf(np.ones(T))
             h = g.add(g.scale_rows(out, gate), g.scale_rows(h, g.add(ones, g.scale(gate, -1.0))))
 
     hf = g.layer_norm(h, leaves["final_ln.gain"], leaves["final_ln.bias"], eps)

@@ -65,7 +65,6 @@ def probe(
             raise ValueError(f"cost {cost} outside [1, {L}]")
     eos = tokenizer.EOS if stop_at_eos else None
 
-    # Duplicate strategy entries stay distinct (they simply score identically).
     # Per (strategy, label, cost): one (steps, L+1) similarity array per prompt.
     pooled: dict[tuple[int, str, int], list[np.ndarray]] = {}
     for i, prompt in enumerate(prompts):

@@ -134,14 +134,17 @@ class RoutePlan:
     def parse(names: str, num_layers: int) -> list["RoutePlan"]:
         """Strategy templates at full cost from a comma-separated list of
         names, each a template's `label` without its cost: full, ee, uls, rls
-        and rls_no1. Empty names are skipped."""
+        and rls_no1. Empty names are skipped; a repeated name is refused."""
         L = num_layers
         templates = [RoutePlan(kind, L, L) for kind in PlanKind] + [RoutePlan.random_skip(L, L, enforce_first=False)]
         by_name = {t.label().replace(f"_{L}", "", 1): t for t in templates}
-        try:
-            return [by_name[name] for name in filter(None, (n.strip() for n in names.split(",")))]
-        except KeyError as exc:
-            raise ValueError(f"unknown strategy {exc.args[0]!r}") from None
+        listed = [n for n in (n.strip() for n in names.split(",")) if n]
+        for i, name in enumerate(listed):
+            if name not in by_name:
+                raise ValueError(f"unknown strategy {name!r}")
+            if name in listed[:i]:
+                raise ValueError(f"repeated strategy {name!r}")
+        return [by_name[name] for name in listed]
 
     def label(self) -> str:
         """`full`, or the kind and cost, e.g. `ee_4`, `uls_4`, `rls_4_no1`."""

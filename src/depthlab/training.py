@@ -225,13 +225,14 @@ def _fit(
     """The one training loop. Each epoch shuffles the training examples with
     `data_rng`; each batch calls `batch_hook` once for the per-sequence step
     that gives (loss, grads, cost), sums the gradients in sequence order and
-    scales them by 1/len(batch). A nan cost (a sequence without label rows)
-    is left out of the logged train cost, as `mean_cost` leaves it out. Every
-    (params, base lr) group has its own AdamW, stepped at lr times the
-    schedule factor. Validation ROUGE-L runs every eval interval; the
-    parameters are snapshotted on a strictly better score, training stops
-    after `patience` evals without one, and the best snapshot is restored
-    into each group's dict."""
+    scales them by 1/len(batch), in place in the first sequence's arrays
+    (nothing else holds a step's gradients once its tape is consumed). A nan
+    cost (a sequence without label rows) is left out of the logged train
+    cost, as `mean_cost` leaves it out. Every (params, base lr) group has its
+    own AdamW, stepped at lr times the schedule factor. Validation ROUGE-L
+    runs every eval interval; the parameters are snapshotted on a strictly
+    better score, training stops after `patience` evals without one, and the
+    best snapshot is restored into each group's dict."""
     if len(train_examples) == 0:
         raise ValueError("empty training corpus")
     steps_per_epoch = math.ceil(len(train_examples) / cfg.batch_size)
@@ -267,12 +268,16 @@ def _fit(
                 batch_cost += cost
                 costed += 1
             for name, grad in grads.items():
-                acc[name] = acc[name] + grad if name in acc else grad
+                if name in acc:
+                    acc[name] += grad
+                else:
+                    acc[name] = grad
         scale = 1.0 / len(batch)
-        grads_avg = {name: grad * scale for name, grad in acc.items()}
+        for grad in acc.values():
+            grad *= scale
         factor = _schedule_factor(cfg, step, total_steps)
         for params, lr, optimizer in optimizers:
-            optimizer.step(params, grads_avg, lr * factor)
+            optimizer.step(params, acc, lr * factor)
         running_loss.append(batch_loss * scale)
         if costed:
             running_cost.append(batch_cost * (1.0 / costed))
@@ -362,12 +367,13 @@ def build_controller_sequence_graph(
     realized = np.ones((t, model.cfg.num_layers))
     label_leaf = g.leaf(label_pos)
     prompt_leaf = g.leaf(prompt_pos)
-    ones_input = g.leaf(np.ones((t, model.cfg.hidden_dim)))
+    fixed = bank.input_mode is InputMode.FIXED_ONES
+    ones_input = g.leaf(np.ones((t, model.cfg.hidden_dim))) if fixed else None
 
     def gates(layer: int, h_prev):
         if layer not in controlled:
             return None
-        x = ones_input if bank.input_mode is InputMode.FIXED_ONES else h_prev
+        x = ones_input if fixed else h_prev
         logits = g.add_bias(
             g.matmul(x, ctrl_leaves[f"controller.layer{layer}.w"]),
             ctrl_leaves[f"controller.layer{layer}.b"],

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from depthlab import autodiff
+from depthlab import autodiff, training
 from depthlab.autodiff import (
     _VJP,
     BLOCK_PARAMS,
@@ -13,6 +13,8 @@ from depthlab.autodiff import (
     backpropagate,
     gradient_check,
 )
+from depthlab.corpus import Example
+from depthlab.model import DecoderModel, ModelConfig
 
 
 def test_matmul_identity():
@@ -323,3 +325,28 @@ def test_block_gradients_match_finite_differences_at_large_preactivations():
     autodiff._block_forward(values["h"], [values[name] for name in BLOCK_PARAMS], 2, 1e-5, keep=keep)
     assert 4.0 <= np.abs(keep["u"]).min() and np.abs(keep["u"]).max() <= 12.0
     assert tape_gradient_error(build, values) <= tolerance
+
+
+def test_backprop_consumes_the_tape(monkeypatch):
+    # A fine-tune tape after its backward pass: each op node has released
+    # its kept intermediates and, the loss aside, its output; leaves keep
+    # their data and grads, and the tape cannot be swept a second time.
+    tapes = []
+    monkeypatch.setattr(training, "backpropagate", lambda g, loss: tapes.append((g, loss)) or backpropagate(g, loss))
+    model = DecoderModel(ModelConfig(num_layers=3, hidden_dim=16, num_heads=2, ffn_dim=32, max_context=32))
+    loss_value, grads = training.sequence_loss_and_grads(model, Example("x", "copy: ab", "ab"))
+    ((g, loss),) = tapes
+    assert g.backpropagated
+    blocks = [node for node in g.nodes if node.op == "block"]
+    assert len(blocks) == 3 and all(node.attrs == {} for node in blocks)
+    for node in g.nodes:
+        if node.op == "leaf":
+            assert node.tensor.data is not None
+            assert (node.tensor.grad is not None) == node.tensor.requires_grad
+        elif node.tensor is not loss:
+            assert node.tensor.data is None and node.attrs == {}
+    assert loss.item() == loss_value
+    for name, grad in grads.items():
+        assert grad.shape == model.params[name].shape
+    with pytest.raises(ValueError, match="already backpropagated"):
+        backpropagate(g, loss)

@@ -416,6 +416,36 @@ def test_every_config_value_is_checked_at_load(tmp_path, capsys, text, named):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize(
+    "section,key,value,message",
+    [
+        ("corpus", "tasks", "", "lists no value"),
+        ("controllers", "alpha_grid", " , ", "lists no value"),
+        ("controllers", "input_modes", "", "lists no value"),
+        ("routing", "strategies", "", "lists no value"),
+        ("routing", "cost_grid", "", "lists no value"),
+        ("generate", "cost_fractions", "", "lists no value"),
+        ("oracle", "budget_grid", "", "lists no value"),
+        ("routing", "strategies", "ee,uls,ee", "repeats a value"),
+        ("routing", "cost_grid", "2,4,2", "repeats a value"),
+        ("controllers", "alpha_grid", "2,4,2.0", "repeats a value"),
+        ("controllers", "input_modes", "fixed,hidden,fixed", "repeats a value"),
+        ("oracle", "budget_grid", "1,2,2", "repeats a value"),
+        ("generate", "cost_fractions", "0.5,0", "outside (0, 1]"),
+        ("generate", "cost_fractions", "1.5", "outside (0, 1]"),
+    ],
+)
+def test_empty_and_repeated_list_values_are_refused_naming_the_key(tmp_path, capsys, section, key, value, message):
+    bad = tmp_path / "bad.ini"
+    bad.write_text(f"[{section}]\n{key} = {value}\n")
+    with pytest.raises(ValueError, match=f"\\[{section}\\] {key}") as err:
+        ExperimentConfig.load(bad)
+    assert message in str(err.value)
+    assert main(["gen-corpus", "--config", str(bad), "--out", str(tmp_path / "o")]) == 1
+    assert f"[{section}] {key}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_fewer_than_two_controller_eval_sequences_rejected(tmp_path, capsys):
     # the controller sweep's confidence interval needs two samples; the
     # config is refused before any stage trains

@@ -165,6 +165,8 @@ def test_strategy_grammar_refuses_unknown_names_and_out_of_range_costs():
         name = text.split(",")[-1]
         with pytest.raises(ValueError, match=f"unknown strategy '{name}'"):
             RoutePlan.parse(text, 8)
+    with pytest.raises(ValueError, match="repeated strategy 'ee'"):
+        RoutePlan.parse("ee,uls, ee", 8)
     (full,) = RoutePlan.parse("full", 8)
     assert full.with_cost(8) == full
     with pytest.raises(ValueError, match="cost L only"):

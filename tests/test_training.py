@@ -362,6 +362,22 @@ def test_full_controller_loss_gradient_matches_finite_differences():
     assert gradient_check(lambda params: tape(params)[1].item(), values, grads) <= 1e-4
 
 
+@pytest.mark.parametrize("mode", [InputMode.HIDDEN_STATE, InputMode.FIXED_ONES])
+def test_controller_tape_builds_each_constant_once(mode):
+    # One all-ones (T,) leaf serves every gated layer's mix, and only the
+    # fixed-input mode holds the (T, d) ones input.
+    model = DecoderModel(CFG, init_params(CFG, seed=17))
+    teacher = DecoderModel(CFG, {k: v.copy() for k, v in model.params.items()})
+    g, _, _, _, _ = build_controller_sequence_graph(
+        model, _bank(CFG, seed=2, mode=mode), teacher, TRAIN[0], 2.0, np.random.default_rng(19), False
+    )
+    t = len(tokenize_example(TRAIN[0]).full_ids) - 1
+    constants = [n.tensor for n in g.nodes if n.op == "leaf" and not n.tensor.requires_grad]
+    ones = [c.shape for c in constants if np.all(c.data == 1.0)]
+    expected = [(t,), (t, CFG.hidden_dim)] if mode is InputMode.FIXED_ONES else [(t,)]
+    assert sorted(ones) == sorted(expected)
+
+
 def test_controller_loss_realized_cost_counts_bits():
     model = DecoderModel(CFG, init_params(CFG, seed=17))
     bank = _bank(CFG, seed=2)
