@@ -13,8 +13,6 @@ import numpy as np
 from .autodiff import Graph, Tensor, _softmax_forward
 from .model import GateFn, ModelConfig
 
-SKIP, EXECUTE = 0, 1
-
 
 class InputMode(Enum):
     HIDDEN_STATE = "hidden"

@@ -3,6 +3,8 @@ and the pipeline stages behind each CLI subcommand (corpus generation,
 training, controller sweeps, prediction sets, similarity probe, budget
 oracle, chi-square test, report merging).
 
+`CONFIG_KEYS` declares each INI key once, with its default text and its
+parser; `ExperimentConfig.load` parses every value when the config loads.
 `STAGES` declares each stage once: its subcommand, its directory under the
 run root, the files it reads and its body. `run_stage` resolves those files
 from their producers' manifests, refuses missing and stale ones, runs the
@@ -16,7 +18,7 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path, PurePosixPath
 from typing import Callable, Sequence, TypeVar
 
@@ -49,61 +51,111 @@ from .probe import compare_strategies, probe, ranking_to_csv, similarity_to_csv
 from .routing import RoutePlan
 from .training import TrainConfig, finetune, mean_cost, rouge_eval, train_controllers, write_log_csv
 
-DEFAULTS: dict[str, dict[str, str]] = {
-    "run": {"seed": "0"},
+T = TypeVar("T")
+
+
+def _bool(text: str) -> bool:
+    state = configparser.ConfigParser.BOOLEAN_STATES.get(text.strip().lower())
+    if state is None:
+        raise ValueError(f"must be true/false, yes/no, on/off or 1/0, got {text!r}")
+    return state
+
+
+def _list(parse: Callable[[str], T], distinct: bool = True) -> Callable[[str], tuple[T, ...]]:
+    """A parser of comma-separated values, each parsed by `parse`. It refuses
+    a list without a value, and a repeated value when `distinct`."""
+
+    def parse_list(text: str) -> tuple[T, ...]:
+        values = tuple(parse(v.strip()) for v in text.split(",") if v.strip())
+        if not values:
+            raise ValueError("lists no value")
+        if distinct and len(set(values)) < len(values):
+            raise ValueError(f"repeats a value: {text!r}")
+        return values
+
+    return parse_list
+
+
+def _splits(text: str) -> tuple[float, ...]:
+    splits = _list(float, distinct=False)(text)
+    if len(splits) != 3:
+        raise ValueError(f"must be three fractions, got {text!r}")
+    return splits
+
+
+def _fractions(text: str) -> tuple[float, ...]:
+    fractions = _list(float, distinct=False)(text)
+    for frac in fractions:
+        if not 0 < frac <= 1:
+            raise ValueError(f"value {frac:g} is outside (0, 1]")
+    return fractions
+
+
+def _two_or_more(text: str) -> int:
+    # the controller sweep reports a confidence interval over them
+    if (n := int(text)) < 2:
+        raise ValueError("must be >= 2")
+    return n
+
+
+# Every INI key, declared once: section -> key -> (default text, parser).
+# `load` parses each value once. The [model], [corpus] and [train] keys are
+# the field names of ModelConfig, CorpusSpec and TrainConfig, and so are the
+# [controllers] keys that set a TrainConfig field.
+CONFIG_KEYS: dict[str, dict[str, tuple[str, Callable[[str], object]]]] = {
+    "run": {"seed": ("0", int)},
     "model": {
-        "num_layers": "8",
-        "hidden_dim": "64",
-        "num_heads": "4",
-        "ffn_dim": "256",
-        "max_context": "256",
+        "num_layers": ("8", int),
+        "hidden_dim": ("64", int),
+        "num_heads": ("4", int),
+        "ffn_dim": ("256", int),
+        "max_context": ("256", int),
     },
     "corpus": {
-        "size": "700",
-        "tasks": "copy,reverse,upper,add",
-        "min_words": "1",
-        "max_words": "3",
-        "alphabet": "abcdefghij",
-        "splits": "0.70,0.15,0.15",
+        "size": ("700", int),
+        "tasks": ("copy,reverse,upper,add", _list(str, distinct=False)),
+        "min_words": ("1", int),
+        "max_words": ("3", int),
+        "alphabet": ("abcdefghij", str),
+        "splits": ("0.70,0.15,0.15", _splits),
     },
     "train": {
-        "learning_rate": "1.5e-3",
-        "schedule": "linear",
-        "batch_size": "8",
-        "max_epochs": "6",
-        "patience": "2",
-        "eval_every": "0.34",
-        "layerdrop_prob": "0.0",
-        "max_eval_sequences": "24",
-        "eval_max_new": "40",
+        "learning_rate": ("1.5e-3", float),
+        "schedule": ("linear", str),
+        "batch_size": ("8", int),
+        "max_epochs": ("6", int),
+        "patience": ("2", int),
+        "eval_every": ("0.34", float),
+        "layerdrop_prob": ("0.0", float),
+        "max_eval_sequences": ("24", int),
+        "eval_max_new": ("40", int),
     },
     "controllers": {
-        "alpha_grid": "2,4,6,10",
-        "input_modes": "hidden,fixed",
-        "temperature": "1.0",
-        "learning_rate": "1.5e-3",
-        "controller_learning_rate": "0.05",
-        "batch_size": "8",
-        "max_epochs": "2",
-        "patience": "1",
-        "eval_every": "0.34",
-        "freeze_backbone": "false",
-        "exclude_first": "true",
-        "exclude_last": "true",
-        "eval_sequences": "24",
+        "alpha_grid": ("2,4,6,10", _list(float)),
+        "input_modes": ("hidden,fixed", _list(InputMode)),
+        "temperature": ("1.0", float),
+        "learning_rate": ("1.5e-3", float),
+        "controller_learning_rate": ("0.05", float),
+        "batch_size": ("8", int),
+        "max_epochs": ("2", int),
+        "patience": ("1", int),
+        "eval_every": ("0.34", float),
+        "freeze_backbone": ("false", _bool),
+        "exclude_first": ("true", _bool),
+        "exclude_last": ("true", _bool),
+        "eval_sequences": ("24", _two_or_more),
     },
-    "routing": {"strategies": "ee,uls,rls,rls_no1", "cost_grid": "2,3,4,6,8"},
-    "generate": {"cost_fractions": "0.1667,0.3333,0.5,1.0", "max_new": "40"},
-    "probe": {"max_new": "24", "max_sequences": "32", "stop_at_eos": "true"},
+    "routing": {"strategies": ("ee,uls,rls,rls_no1", _list(str)), "cost_grid": ("2,3,4,6,8", _list(int))},
+    "generate": {"cost_fractions": ("0.1667,0.3333,0.5,1.0", _fractions), "max_new": ("40", int)},
+    "probe": {"max_new": ("24", int), "max_sequences": ("32", int), "stop_at_eos": ("true", _bool)},
     "oracle": {
-        "budget_grid": "1,1.5,2,2.5,3,3.5,4,4.5,5,6,7,8",
-        "bin_width": "5",
-        "num_bins": "7",
+        "budget_grid": ("1,1.5,2,2.5,3,3.5,4,4.5,5,6,7,8", _list(float)),
+        "bin_width": ("5", int),
+        "num_bins": ("7", int),
     },
 }
 
-
-T = TypeVar("T")
+_TRAIN_FIELDS = {f.name for f in fields(TrainConfig)}
 
 
 class MissingArtifact(FileNotFoundError):
@@ -116,139 +168,88 @@ class StaleArtifact(RuntimeError):
 
 @dataclass
 class ExperimentConfig:
-    sections: dict[str, dict[str, str]]
+    sections: dict[str, dict[str, str]]  # the texts: what the hashes and config_resolved.json record
+    values: dict[str, dict[str, object]]  # the same keys, parsed
 
     @staticmethod
     def load(path: str | Path | None, seed: int | None = None) -> "ExperimentConfig":
-        sections = {name: dict(values) for name, values in DEFAULTS.items()}
+        sections = {name: {key: default for key, (default, _) in keys.items()} for name, keys in CONFIG_KEYS.items()}
         if path is not None:
             path = Path(path)
             if not path.exists():
                 raise MissingArtifact(f"config file not found: {path}")
             parser = configparser.ConfigParser()
-            parser.read(path)
-            for section in parser.sections():
+            try:
+                parser.read(str(path))
+                given = {section: parser.items(section) for section in parser.sections()}
+            except configparser.Error as exc:
+                raise ValueError(f"malformed config {path}: {' '.join(str(exc).split())}") from exc
+            for section, items in given.items():
                 if section not in sections:
                     raise ValueError(f"unknown config section [{section}]")
-                for key, value in parser.items(section):
+                for key, value in items:
                     if key not in sections[section]:
                         raise ValueError(f"unknown config key {key!r} in [{section}]")
                     sections[section][key] = value
-        cfg = ExperimentConfig(sections)
         if seed is not None:
-            cfg.sections["run"]["seed"] = str(seed)
+            sections["run"]["seed"] = str(seed)
         # Every value is parsed here once, so a bad one fails before any stage runs.
-        for section, values in DEFAULTS.items():
-            for key, default in values.items():
-                if default in ("true", "false"):
-                    cfg.getbool(section, key)
-        if cfg.getint("controllers", "eval_sequences") < 2:
-            # the controller sweep reports a confidence interval over them
-            raise ValueError("[controllers] eval_sequences must be >= 2")
-        for accessor in (cfg.corpus_spec, cfg.train_config, cfg.controller_train_config, cfg.alpha_grid,
-                         cfg.input_modes, cfg.strategies, cfg.cost_grid, cfg.generate_costs, cfg.budget_grid):
-            accessor()
-        cfg.getfloat("controllers", "temperature")
-        for section, key in (("probe", "max_new"), ("probe", "max_sequences"), ("oracle", "bin_width"),
-                             ("oracle", "num_bins")):
-            cfg.getint(section, key)
+        values: dict[str, dict[str, object]] = {}
+        for section, keys in CONFIG_KEYS.items():
+            values[section] = {}
+            for key, (_, parse) in keys.items():
+                try:
+                    values[section][key] = parse(sections[section][key])
+                except ValueError as exc:
+                    raise ValueError(f"[{section}] {key} {exc}") from exc
+        cfg = ExperimentConfig(sections, values)
+        # ... and so are the objects that check values across keys.
+        for build in (cfg.model_config, cfg.corpus_spec, cfg.train_config, cfg.controller_train_config,
+                      cfg.strategies, cfg.cost_grid):
+            build()
         return cfg
 
     # -- typed accessors ------------------------------------------------------
 
-    def get(self, section: str, key: str) -> str:
-        return self.sections[section][key]
-
     def getint(self, section: str, key: str) -> int:
-        return int(self.get(section, key))
+        return int(self.values[section][key])
 
     def getfloat(self, section: str, key: str) -> float:
-        return float(self.get(section, key))
-
-    def getlist(self, section: str, key: str, parse: Callable[[str], T], distinct: bool = True) -> list[T]:
-        """The comma-separated values of a key, each parsed. A list without
-        a value is refused, and so is a repeated value when `distinct`."""
-        text = self.get(section, key)
-        values = [parse(v.strip()) for v in text.split(",") if v.strip()]
-        if not values:
-            raise ValueError(f"[{section}] {key} lists no value")
-        if distinct and len(set(values)) < len(values):
-            raise ValueError(f"[{section}] {key} repeats a value: {text!r}")
-        return values
-
-    def getbool(self, section: str, key: str) -> bool:
-        value = self.get(section, key)
-        state = configparser.ConfigParser.BOOLEAN_STATES.get(value.strip().lower())
-        if state is None:
-            raise ValueError(f"[{section}] {key} must be true/false, yes/no, on/off or 1/0, got {value!r}")
-        return state
+        return float(self.values[section][key])
 
     @property
     def seed(self) -> int:
-        return self.getint("run", "seed")
+        return self.values["run"]["seed"]
 
     def model_config(self) -> ModelConfig:
-        return ModelConfig(
-            num_layers=self.getint("model", "num_layers"),
-            hidden_dim=self.getint("model", "hidden_dim"),
-            num_heads=self.getint("model", "num_heads"),
-            ffn_dim=self.getint("model", "ffn_dim"),
-            max_context=self.getint("model", "max_context"),
-        )
+        return ModelConfig(**self.values["model"])
 
     def corpus_spec(self) -> CorpusSpec:
-        splits = self.getlist("corpus", "splits", float, distinct=False)
-        if len(splits) != 3:
-            raise ValueError(f"[corpus] splits must be three fractions, got {self.get('corpus', 'splits')!r}")
-        return CorpusSpec(
-            size=self.getint("corpus", "size"),
-            tasks=tuple(self.getlist("corpus", "tasks", str, distinct=False)),
-            min_words=self.getint("corpus", "min_words"),
-            max_words=self.getint("corpus", "max_words"),
-            alphabet=self.get("corpus", "alphabet"),
-            splits=tuple(splits),
-        )
+        return CorpusSpec(**self.values["corpus"])
 
     def train_config(self) -> TrainConfig:
-        return TrainConfig(
-            learning_rate=self.getfloat("train", "learning_rate"),
-            schedule=self.get("train", "schedule"),
-            batch_size=self.getint("train", "batch_size"),
-            max_epochs=self.getint("train", "max_epochs"),
-            patience=self.getint("train", "patience"),
-            eval_every=self.getfloat("train", "eval_every"),
-            seed=self.seed,
-            layerdrop_prob=self.getfloat("train", "layerdrop_prob"),
-            max_eval_sequences=self.getint("train", "max_eval_sequences"),
-            eval_max_new=self.getint("train", "eval_max_new"),
-        )
+        return TrainConfig(seed=self.seed, **self.values["train"])
 
     def controller_train_config(self) -> TrainConfig:
+        ctl = self.values["controllers"]
         return TrainConfig(
-            learning_rate=self.getfloat("controllers", "learning_rate"),
-            controller_learning_rate=self.getfloat("controllers", "controller_learning_rate"),
-            batch_size=self.getint("controllers", "batch_size"),
-            max_epochs=self.getint("controllers", "max_epochs"),
-            patience=self.getint("controllers", "patience"),
-            eval_every=self.getfloat("controllers", "eval_every"),
             seed=self.seed,
-            freeze_backbone=self.getbool("controllers", "freeze_backbone"),
-            max_eval_sequences=self.getint("controllers", "eval_sequences"),
-            eval_max_new=self.getint("generate", "max_new"),
+            max_eval_sequences=ctl["eval_sequences"],
+            eval_max_new=self.values["generate"]["max_new"],
+            **{key: value for key, value in ctl.items() if key in _TRAIN_FIELDS},
         )
 
     def alpha_grid(self) -> list[float]:
-        return self.getlist("controllers", "alpha_grid", float)
+        return list(self.values["controllers"]["alpha_grid"])
 
     def input_modes(self) -> list[InputMode]:
-        return self.getlist("controllers", "input_modes", InputMode)
+        return list(self.values["controllers"]["input_modes"])
 
     def strategies(self) -> list[RoutePlan]:
-        self.getlist("routing", "strategies", str)  # refuses an empty or repeated list, naming the key
-        return RoutePlan.parse(self.get("routing", "strategies"), self.model_config().num_layers)
+        return RoutePlan.parse(",".join(self.values["routing"]["strategies"]), self.model_config().num_layers)
 
     def cost_grid(self) -> list[int]:
-        costs, L = self.getlist("routing", "cost_grid", int), self.model_config().num_layers
+        costs, L = list(self.values["routing"]["cost_grid"]), self.model_config().num_layers
         if not all(1 <= c <= L for c in costs):
             raise ValueError(f"[routing] cost_grid {costs} has a cost outside 1..{L}")
         return costs
@@ -256,15 +257,10 @@ class ExperimentConfig:
     def generate_costs(self) -> list[int]:
         """Costs of the fractions of L, each rounded and at least 1."""
         L = self.model_config().num_layers
-        costs = []
-        for frac in self.getlist("generate", "cost_fractions", float, distinct=False):
-            if not 0 < frac <= 1:
-                raise ValueError(f"[generate] cost_fractions value {frac:g} is outside (0, 1]")
-            costs.append(max(1, round(frac * L)))
-        return sorted(set(costs))
+        return sorted({max(1, round(frac * L)) for frac in self.values["generate"]["cost_fractions"]})
 
     def budget_grid(self) -> list[float]:
-        return self.getlist("oracle", "budget_grid", float)
+        return list(self.values["oracle"]["budget_grid"])
 
     def resolved_json(self) -> str:
         return json.dumps(self.sections, indent=2, sort_keys=True) + "\n"
@@ -401,12 +397,9 @@ def _train_controllers(cfg: ExperimentConfig, out: Path, stage: Path, inputs: li
     test_examples = _load_split(out, "test")
     model_cfg = cfg.model_config()
     tcfg = cfg.controller_train_config()
-    temperature = cfg.getfloat("controllers", "temperature")
-    layers = controlled_layers(
-        model_cfg,
-        exclude_first=cfg.getbool("controllers", "exclude_first"),
-        exclude_last=cfg.getbool("controllers", "exclude_last"),
-    )
+    ctl = cfg.values["controllers"]
+    temperature = ctl["temperature"]
+    layers = controlled_layers(model_cfg, exclude_first=ctl["exclude_first"], exclude_last=ctl["exclude_last"])
 
     summary_rows = [["input_mode", "alpha", "mean_cost", "rouge_l", "rouge_ci_low", "rouge_ci_high", "n", "empty"]]
     ratio_rows = [["input_mode", "alpha", "layer", "skip_fraction"]]
@@ -463,10 +456,8 @@ def _train_controllers(cfg: ExperimentConfig, out: Path, stage: Path, inputs: li
 def _generate(cfg: ExperimentConfig, out: Path, stage: Path, inputs: list[Path]) -> None:
     model = _load_backbone(out)
     test_examples = _load_split(out, "test")
-    costs = cfg.generate_costs()
-    max_new = cfg.getint("generate", "max_new")
-
-    for cost in costs:
+    max_new = cfg.values["generate"]["max_new"]
+    for cost in cfg.generate_costs():
         plan = RoutePlan.uniform_skip(model.cfg.num_layers, cost)
         with open(stage / f"uls_c{cost}.jsonl", "w") as fh:
             for ex in test_examples:
@@ -488,18 +479,16 @@ def _generate(cfg: ExperimentConfig, out: Path, stage: Path, inputs: list[Path])
 def _probe(cfg: ExperimentConfig, out: Path, stage: Path, inputs: list[Path]) -> None:
     model = _load_backbone(out)
     test_examples = _load_split(out, "test")
-    max_sequences = cfg.getint("probe", "max_sequences")
-    prompts = [
-        tokenizer.encode(ex.prompt, add_bos=True) for ex in test_examples[:max_sequences]
-    ]
+    settings = cfg.values["probe"]
+    prompts = [tokenizer.encode(ex.prompt, add_bos=True) for ex in test_examples[: settings["max_sequences"]]]
     report = probe(
         model,
         prompts,
         cfg.strategies(),
         cfg.cost_grid(),
         seed=cfg.seed,
-        max_new=cfg.getint("probe", "max_new"),
-        stop_at_eos=cfg.getbool("probe", "stop_at_eos"),
+        max_new=settings["max_new"],
+        stop_at_eos=settings["stop_at_eos"],
     )
     similarity_to_csv(report, stage / "similarity.csv")
     ranking_to_csv(compare_strategies(report), stage / "ranking.csv")
@@ -551,11 +540,9 @@ def _chi2(cfg: ExperimentConfig, out: Path, stage: Path, inputs: list[Path], bet
     if beta is None:
         beta = json.loads((out / "oracle" / "summary.json").read_text())["assignment_beta"]
     assignment = solve_exact(matrix, beta)
+    settings = cfg.values["oracle"]
     result = chi_square_homogeneity(
-        assignment,
-        matrix.label_lengths,
-        bin_width=cfg.getint("oracle", "bin_width"),
-        num_bins=cfg.getint("oracle", "num_bins"),
+        assignment, matrix.label_lengths, bin_width=settings["bin_width"], num_bins=settings["num_bins"]
     )
     chi2_to_json(result, stage / f"chi2_beta{beta:g}.json")
 

@@ -228,10 +228,7 @@ def solve_greedy(matrix: ScoreMatrix, beta: float) -> BudgetAssignment:
 @dataclass
 class SweepPoint:
     beta: float
-    exact_score: float
     greedy_score: float
-    exact_mean_cost: float
-    selection_pct: dict[int, float]
     assignment: BudgetAssignment  # the exact solution at beta
 
 
@@ -268,16 +265,7 @@ def sweep(matrix: ScoreMatrix, beta_grid: Sequence[float]) -> SweepResult:
     for beta in betas:
         exact = _backtrack(matrix, beta, table)
         greedy = solve_greedy(matrix, beta)
-        points.append(
-            SweepPoint(
-                beta=beta,
-                exact_score=exact.mean_score,
-                greedy_score=greedy.mean_score,
-                exact_mean_cost=exact.mean_cost,
-                selection_pct=exact.selection_pct,
-                assignment=exact,
-            )
-        )
+        points.append(SweepPoint(beta=beta, greedy_score=greedy.mean_score, assignment=exact))
         if star is None and exact.mean_score >= full_mean:
             star = beta
     return SweepResult(
@@ -481,13 +469,14 @@ def sweep_to_csv(result: SweepResult, path: str | Path) -> None:
         writer = csv.writer(fh)
         writer.writerow(header)
         for pt in result.points:
+            exact = pt.assignment
             row = [
                 f"{pt.beta:.6g}",
-                f"{pt.exact_score:.6f}",
+                f"{exact.mean_score:.6f}",
                 f"{pt.greedy_score:.6f}",
-                f"{pt.exact_mean_cost:.6f}",
+                f"{exact.mean_cost:.6f}",
             ]
-            row += [f"{pt.selection_pct.get(c, 0.0):.4f}" for c in costs]
+            row += [f"{exact.selection_pct.get(c, 0.0):.4f}" for c in costs]
             writer.writerow(row)
 
 

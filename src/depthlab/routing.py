@@ -32,9 +32,6 @@ class RouteMask:
     def cost(self) -> int:
         return sum(self.bits)
 
-    def __str__(self) -> str:
-        return "".join(str(b) for b in self.bits)
-
 
 def full_mask(num_layers: int) -> RouteMask:
     return RouteMask(tuple([1] * num_layers))

@@ -12,7 +12,7 @@ from depthlab.checkpoint import load_checkpoint, save_checkpoint, split_controll
 from depthlab.cli import _parser, main
 from depthlab.controller import ControllerBank, InputMode
 from depthlab.corpus import read_jsonl
-from depthlab.experiment import STAGES, ExperimentConfig
+from depthlab.experiment import CONFIG_KEYS, STAGES, ExperimentConfig
 from depthlab.model import DecoderModel
 from depthlab.oracle import chi2_to_json, chi_square_homogeneity, score_matrix_from_prediction_sets, solve_exact
 from depthlab.training import mean_cost, rouge_eval
@@ -443,6 +443,96 @@ def test_empty_and_repeated_list_values_are_refused_naming_the_key(tmp_path, cap
     assert message in str(err.value)
     assert main(["gen-corpus", "--config", str(bad), "--out", str(tmp_path / "o")]) == 1
     assert f"[{section}] {key}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+# One refused value per INI key: its parser refuses it, or the object built
+# from it at load does.
+REFUSED_VALUES = {
+    ("run", "seed"): "x",
+    ("model", "num_layers"): "0",
+    ("model", "hidden_dim"): "63",
+    ("model", "num_heads"): "3",
+    ("model", "ffn_dim"): "0",
+    ("model", "max_context"): "1",
+    ("corpus", "size"): "x",
+    ("corpus", "tasks"): "copy,sort",
+    ("corpus", "min_words"): "x",
+    ("corpus", "max_words"): "1.5",
+    ("corpus", "alphabet"): "ABC",
+    ("corpus", "splits"): "0.5,0.2,0.2",
+    ("train", "learning_rate"): "fast",
+    ("train", "schedule"): "cosine",
+    ("train", "batch_size"): "x",
+    ("train", "max_epochs"): "x",
+    ("train", "patience"): "-1",
+    ("train", "eval_every"): "0",
+    ("train", "layerdrop_prob"): "1",
+    ("train", "max_eval_sequences"): "x",
+    ("train", "eval_max_new"): "x",
+    ("controllers", "alpha_grid"): "2,a",
+    ("controllers", "input_modes"): "hidden,none",
+    ("controllers", "temperature"): "hot",
+    ("controllers", "learning_rate"): "x",
+    ("controllers", "controller_learning_rate"): "x",
+    ("controllers", "batch_size"): "x",
+    ("controllers", "max_epochs"): "x",
+    ("controllers", "patience"): "-1",
+    ("controllers", "eval_every"): "1.5",
+    ("controllers", "freeze_backbone"): "maybe",
+    ("controllers", "exclude_first"): "maybe",
+    ("controllers", "exclude_last"): "maybe",
+    ("controllers", "eval_sequences"): "1",
+    ("routing", "strategies"): "ee,xx",
+    ("routing", "cost_grid"): "0,2",
+    ("generate", "cost_fractions"): "0.5,2",
+    ("generate", "max_new"): "x",
+    ("probe", "max_new"): "x",
+    ("probe", "max_sequences"): "x",
+    ("probe", "stop_at_eos"): "maybe",
+    ("oracle", "budget_grid"): "1,x",
+    ("oracle", "bin_width"): "x",
+    ("oracle", "num_bins"): "x",
+}
+
+
+def test_the_key_table_keeps_every_default_text():
+    # the parent's hashes of the default config: each key's default text is kept
+    cfg = ExperimentConfig.load(None)
+    assert cfg.config_hash() == "2df8ca34ba25d412"
+    assert cfg.model_config_hash() == "e7befd358c2337c8"
+    assert set(REFUSED_VALUES) == {(section, key) for section, keys in CONFIG_KEYS.items() for key in keys}
+
+
+@pytest.mark.parametrize("section,key", list(REFUSED_VALUES), ids=[f"{s}.{k}" for s, k in REFUSED_VALUES])
+def test_every_config_key_refuses_a_bad_value_at_load(tmp_path, capsys, section, key):
+    bad = tmp_path / "bad.ini"
+    bad.write_text(f"[{section}]\n{key} = {REFUSED_VALUES[section, key]}\n")
+    with pytest.raises(ValueError):
+        ExperimentConfig.load(bad)
+    assert main(["gen-corpus", "--config", str(bad), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "seed = 1\n[run]\n",
+        "[run]\nseed = 1\nseed = 2\n",
+        "[run]\nseed = 1\n[run]\nseed = 2\n",
+        "[corpus]\nalphabet = abc%\n",
+    ],
+    ids=["key_before_section", "repeated_key", "repeated_section", "interpolation"],
+)
+def test_malformed_config_is_one_error_line(tmp_path, capsys, text):
+    bad = tmp_path / "bad.ini"
+    bad.write_text(text)
+    assert main(["gen-corpus", "--config", str(bad), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    (line,) = err.splitlines()
+    assert line.startswith(f"error: malformed config {bad}: ")
     assert not (tmp_path / "o").exists()
 
 

@@ -246,7 +246,7 @@ def test_budget_feasibility_invariant():
 def test_sweep_flat_for_single_model():
     matrix = make_matrix([[0.4], [0.6], [0.8]], costs=[4])
     result = sweep(matrix, [4, 6, 8])
-    assert all(pt.exact_score == pytest.approx(0.6) for pt in result.points)
+    assert all(pt.assignment.mean_score == pytest.approx(0.6) for pt in result.points)
 
 
 def test_sweep_duplicated_rows_do_not_change_scores():
@@ -257,7 +257,7 @@ def test_sweep_duplicated_rows_do_not_change_scores():
     s1 = sweep(m1, [5, 8, 12])
     s2 = sweep(m2, [5, 8, 12])
     for p1, p2 in zip(s1.points, s2.points):
-        assert p1.exact_score == pytest.approx(p2.exact_score, abs=1e-12)
+        assert p1.assignment.mean_score == pytest.approx(p2.assignment.mean_score, abs=1e-12)
 
 
 def test_sweep_star_beta_detection():
@@ -294,9 +294,8 @@ def test_sweep_points_equal_per_beta_solve_exact():
             want = solve_exact(matrix, pt.beta)
             assert pt.assignment.chosen_columns == want.chosen_columns
             assert pt.assignment.mean_score == want.mean_score
-            assert pt.exact_score == want.mean_score
-            assert pt.exact_mean_cost == want.mean_cost
-            assert pt.selection_pct == want.selection_pct
+            assert pt.assignment.mean_cost == want.mean_cost
+            assert pt.assignment.selection_pct == want.selection_pct
 
 
 def unpruned_dp_table(matrix, beta):
@@ -353,8 +352,8 @@ def test_pruned_sweep_equals_unpruned_reference(monkeypatch):
         for a, b in zip(got.points, want.points, strict=True):
             assert a.beta == b.beta
             assert a.assignment.chosen_columns == b.assignment.chosen_columns
-            assert a.exact_score == b.exact_score
-            assert a.exact_mean_cost == b.exact_mean_cost
+            assert a.assignment.mean_score == b.assignment.mean_score
+            assert a.assignment.mean_cost == b.assignment.mean_cost
         for beta in grid[:: max(1, len(grid) // 3)]:
             assert solve_exact(matrix, beta).chosen_columns == want.points[grid.index(beta)].assignment.chosen_columns
 

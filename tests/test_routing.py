@@ -136,10 +136,6 @@ def test_plan_redraw_flag():
     assert len(draws) > 1
 
 
-def test_plan_serializes_as_bit_string():
-    assert str(uls_mask(6, 2)) == "100100"
-
-
 @pytest.mark.parametrize(
     "name,kind,enforce_first,label",
     [
