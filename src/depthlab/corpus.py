@@ -54,6 +54,10 @@ class CorpusSpec:
             raise ValueError(f"unknown tasks: {sorted(unknown)}")
         if abs(sum(self.splits) - 1.0) > 1e-9:
             raise ValueError(f"split fractions must sum to 1, got {self.splits}")
+        if self.size < 1:
+            raise ValueError("size must be >= 1")
+        if not 1 <= self.min_words <= self.max_words:
+            raise ValueError(f"min_words must be in 1..max_words ({self.max_words}), got {self.min_words}")
         if not self.alphabet or self.alphabet != self.alphabet.lower():
             raise ValueError("alphabet must be nonempty lowercase")
 

@@ -35,10 +35,13 @@ Where things live:
 The cache (`KVCache`) holds keys and values in preallocated
 (L, max_context, d) arrays, each on its own memory mapping so that only the
 pages of cached positions become resident, and a provenance code per slot in
-an int8 (L, max_context) array. Each layer keeps an ordered list of its pending
-(absent) positions: an executed layer fills that list from its head before it
-attends, so a read checks only the head, returns views and never restacks the
-history. A skipped layer appends absent slots to the list.
+an int8 (L, max_context) array. A skipped layer does not touch the cache. An
+executed layer first fills every absent slot below the current pass, in one
+projection of those positions' incoming states, then appends its own rows. So
+a layer's absent slots are always the positions since it last executed, and
+one count per layer, `ready`, records them: positions below it hold K/V, and
+a read up to a position below it returns views without restacking the
+history.
 """
 
 from __future__ import annotations
@@ -56,7 +59,6 @@ from .autodiff import (
     Tensor,
     _block_forward,
     _layer_norm_forward,
-    _softmax_forward,
     block_param_shapes,
 )
 from .routing import RouteMask, RoutePlan, full_mask
@@ -132,61 +134,52 @@ class KVCache:
     """Per-layer, per-position key/value rows with provenance tracking.
 
     Every processed position occupies one slot at every layer: `computed`
-    when the layer executed, `absent` (a deferred fill) when it was skipped.
-    Slots are immutable once written with a non-absent value. `keys` and
-    `values` are (num_layers, max_context, d) arrays; `pending[l - 1]` lists
-    layer l's absent positions in increasing order.
+    when the layer executed, `absent` (a deferred fill) when it was skipped,
+    `filled` once filled. `keys` and `values` are (num_layers, max_context, d)
+    arrays. A layer's absent slots are filled before it appends, so they are
+    always positions ready..num_positions-1, where `ready[l - 1]` counts layer
+    l's leading positions that hold K/V. A pass advances `num_positions` once
+    all its layers have run.
     """
 
     def __init__(self, num_layers: int, max_context: int, hidden_dim: int):
-        self.num_layers = num_layers
         self.max_context = max_context
         self.keys = _mapped_array((num_layers, max_context, hidden_dim))
         self.values = _mapped_array((num_layers, max_context, hidden_dim))
         self.prov = np.zeros((num_layers, max_context), dtype=np.int8)
-        self.lengths = [0] * num_layers
-        self.pending: list[list[int]] = [[] for _ in range(num_layers)]
+        self.num_positions = 0
+        self.ready = [0] * num_layers
 
-    @property
-    def num_positions(self) -> int:
-        return self.lengths[0]
-
-    def _extend(self, layer: int, t: int) -> int:
-        """Claim the next t slots of a layer; returns the first."""
-        n = self.lengths[layer - 1]
-        if n + t > self.max_context:
-            raise ValueError(f"context overflow: {n + t} > max_context {self.max_context}")
-        self.lengths[layer - 1] = n + t
-        return n
-
-    def append_computed(self, layer: int, k: np.ndarray, v: np.ndarray) -> int:
-        """Append the rows k, v (t, d); returns the last position written."""
-        n = self._extend(layer, k.shape[0])
+    def _write(self, layer: int, k: np.ndarray, v: np.ndarray, code: int) -> int:
+        """Write the rows k, v (t, d) from the layer's ready count on; returns the last position."""
+        n = self.ready[layer - 1]
         end = n + k.shape[0]
         self.keys[layer - 1, n:end] = k
         self.values[layer - 1, n:end] = v
-        self.prov[layer - 1, n:end] = PROV_COMPUTED
+        self.prov[layer - 1, n:end] = code
+        self.ready[layer - 1] = end
         return end - 1
 
-    def append_absent(self, layer: int, t: int) -> None:
-        n = self._extend(layer, t)
-        self.pending[layer - 1].extend(range(n, n + t))
+    def append_computed(self, layer: int, k: np.ndarray, v: np.ndarray) -> int:
+        """Append the rows k, v (t, d) of the pass at num_positions..; returns
+        the last position written."""
+        if self.ready[layer - 1] != self.num_positions:
+            raise ValueError(f"layer {layer} holds K/V for {self.ready[layer - 1]} of {self.num_positions} positions")
+        if self.num_positions + k.shape[0] > self.max_context:
+            raise ValueError(f"context overflow: {self.num_positions + k.shape[0]} > max_context {self.max_context}")
+        return self._write(layer, k, v, PROV_COMPUTED)
 
-    def fill(self, layer: int, position: int, k: np.ndarray, v: np.ndarray) -> None:
-        if position >= self.lengths[layer - 1] or self.prov[layer - 1, position] != PROV_ABSENT:
-            raise ValueError(f"layer {layer} position {position} already written or not yet cached")
-        self.keys[layer - 1, position] = k
-        self.values[layer - 1, position] = v
-        self.prov[layer - 1, position] = PROV_FILLED
-        self.pending[layer - 1].remove(position)
+    def fill(self, layer: int, k: np.ndarray, v: np.ndarray) -> None:
+        """Fill the layer's next absent slots with the rows k, v (m, d)."""
+        absent = self.num_positions - self.ready[layer - 1]
+        if k.shape[0] > absent:
+            raise ValueError(f"layer {layer} has {absent} absent slots, filling {k.shape[0]}")
+        self._write(layer, k, v, PROV_FILLED)
 
     def kv_matrices(self, layer: int, upto: int) -> tuple[np.ndarray, np.ndarray]:
         """K and V views for positions 0..upto; every slot must be readable."""
-        if upto >= self.lengths[layer - 1]:
-            raise ValueError(f"layer {layer} holds {self.lengths[layer - 1]} positions, read up to {upto}")
-        pending = self.pending[layer - 1]
-        if pending and pending[0] <= upto:
-            raise ValueError(f"layer {layer} position {pending[0]} is absent at read time")
+        if upto >= self.ready[layer - 1]:
+            raise ValueError(f"layer {layer} holds K/V for {self.ready[layer - 1]} positions, read up to {upto}")
         return self.keys[layer - 1, : upto + 1], self.values[layer - 1, : upto + 1]
 
     def provenance(self) -> np.ndarray:
@@ -218,7 +211,6 @@ class HiddenTrace:
 
 @dataclass
 class StepResult:
-    probs: np.ndarray
     logits: np.ndarray
     bits: tuple[int, ...]
 
@@ -279,14 +271,13 @@ class DecoderModel:
         """Layer `layer`'s parameter arrays in `BLOCK_PARAMS` order."""
         return [self.params[name] for name in self._block_names[layer - 1]]
 
-    def _fill_absent(self, layer: int, cache: KVCache, trace: HiddenTrace, upto: int) -> None:
-        """Fill the layer's pending slots at positions 0..upto, in order, one
-        row at a time from each position's incoming hidden state."""
-        pending = cache.pending[layer - 1]
-        while pending and pending[0] <= upto:
-            j = pending[0]
-            k, v = self._kv_for_state(layer, trace.h(j, layer - 1))
-            cache.fill(layer, j, k, v)
+    def _fill_absent(self, layer: int, cache: KVCache, trace: HiddenTrace) -> None:
+        """Fill the layer's absent slots, positions ready..num_positions-1,
+        in one projection of their incoming hidden states."""
+        positions = range(cache.ready[layer - 1], cache.num_positions)
+        if positions:
+            h_in = np.stack([trace.h(j, layer - 1) for j in positions])
+            cache.fill(layer, *self._kv_for_state(layer, h_in))
 
     def _block(
         self,
@@ -308,7 +299,8 @@ class DecoderModel:
     ) -> tuple[np.ndarray, tuple[int, ...]]:
         """Run the embedded rows h (t, d) at positions start.. through every
         layer, appending to cache and trace. `gate(l, h)` gives layer l's bit
-        for all t rows. Returns (final hidden rows, bits)."""
+        for all t rows; only executed layers touch the cache. Returns (final
+        hidden rows, bits)."""
         cfg = self.cfg
         if cache.num_positions != start or trace.num_positions != start:
             raise ValueError(
@@ -321,17 +313,16 @@ class DecoderModel:
             bit = int(gate(l, h))
             bits.append(bit)
             if bit:
-                self._fill_absent(l, cache, trace, start - 1)
+                self._fill_absent(l, cache, trace)
                 h = self._block(l, h, lambda k, v: cache.kv_matrices(l, cache.append_computed(l, k, v)))
-            else:
-                cache.append_absent(l, h.shape[0])
             states[:, l] = h
         trace.append(states)
+        cache.num_positions += h.shape[0]
         return h, tuple(bits)
 
     def _head(self, h_row: np.ndarray, bits: tuple[int, ...]) -> StepResult:
         logits = self._ln(h_row, "final_ln") @ self.params["head.w"] + self.params["head.b"]
-        return StepResult(probs=_softmax_forward(logits), logits=logits, bits=bits)
+        return StepResult(logits=logits, bits=bits)
 
     def step(self, token_id: int, pos: int, gate_fn: GateFn, cache: KVCache, trace: HiddenTrace) -> StepResult:
         """Process one position with per-layer gating, updating cache+trace."""
@@ -392,7 +383,7 @@ class DecoderModel:
         previous_mask: RouteMask | None = None
         tokens = prompt
         for _ in range(max_new):
-            next_id = int(np.argmax(result.probs))
+            next_id = int(np.argmax(result.logits))
             generated.append(next_id)
             if eos_id is not None and next_id == eos_id:
                 break
@@ -500,9 +491,8 @@ def fill_missing_kv(model: DecoderModel, cache: KVCache, trace: HiddenTrace) -> 
     """Fill every remaining absent cache slot from the nearest executed hidden
     state (the position's incoming state at that layer), using the skipped
     layer's own key/value projection path."""
-    upto = cache.num_positions - 1
     for l in range(1, model.cfg.num_layers + 1):
-        model._fill_absent(l, cache, trace, upto)
+        model._fill_absent(l, cache, trace)
     return cache
 
 

@@ -49,6 +49,9 @@ class TrainConfig:
     controller_learning_rate: float | None = None
 
     def __post_init__(self) -> None:
+        for name in ("batch_size", "max_epochs", "max_eval_sequences"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
         if self.patience < 0:
             raise ValueError("patience must be >= 0")
         if not 0 < self.eval_every <= 1:
@@ -235,6 +238,8 @@ def _fit(
     best snapshot is restored into each group's dict."""
     if len(train_examples) == 0:
         raise ValueError("empty training corpus")
+    if len(val_examples) == 0:  # every val ROUGE-L would be nan and no snapshot would beat the initial one
+        raise ValueError("empty validation split")
     steps_per_epoch = math.ceil(len(train_examples) / cfg.batch_size)
     total_steps = steps_per_epoch * cfg.max_epochs
     eval_interval = max(1, round(cfg.eval_every * steps_per_epoch))

@@ -34,10 +34,12 @@ def test_gen_corpus_task_semantics():
             raise AssertionError(task)
 
 
-def test_gen_corpus_size_zero_writes_empty_file(tmp_path):
-    examples = gen_corpus(CorpusSpec(size=0), seed=0)
+def test_empty_split_round_trips_as_an_empty_file(tmp_path):
+    # a small corpus can leave a split empty; a corpus of no example is refused
+    with pytest.raises(ValueError, match="size must be >= 1"):
+        CorpusSpec(size=0)
     path = tmp_path / "empty.jsonl"
-    write_jsonl(examples, path)
+    write_jsonl([], path)
     assert path.read_text() == ""
     assert read_jsonl(path) == []
 

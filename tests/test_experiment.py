@@ -536,6 +536,32 @@ def test_malformed_config_is_one_error_line(tmp_path, capsys, text):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize(
+    "text,key",
+    [
+        ("[train]\nbatch_size = 0\n", "batch_size"),
+        ("[train]\nmax_epochs = 0\n", "max_epochs"),
+        ("[train]\nmax_eval_sequences = 0\n", "max_eval_sequences"),
+        ("[controllers]\nbatch_size = 0\n", "batch_size"),
+        ("[controllers]\nmax_epochs = 0\n", "max_epochs"),
+        ("[corpus]\nsize = 0\n", "size"),
+        ("[corpus]\nmin_words = 0\n", "min_words"),
+        ("[corpus]\nmin_words = 3\nmax_words = 1\n", "min_words"),
+    ],
+    ids=["train.batch_size", "train.max_epochs", "train.max_eval_sequences", "controllers.batch_size",
+         "controllers.max_epochs", "corpus.size", "corpus.min_words", "corpus.min_words_above_max_words"],
+)
+def test_values_that_would_fail_late_or_train_nothing_are_refused_at_load(tmp_path, capsys, text, key):
+    bad = tmp_path / "bad.ini"
+    bad.write_text(text)
+    with pytest.raises(ValueError, match=key):
+        ExperimentConfig.load(bad)
+    assert main(["gen-corpus", "--config", str(bad), "--out", str(tmp_path / "o")]) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: ") and key in line
+    assert not (tmp_path / "o").exists()
+
+
 def test_fewer_than_two_controller_eval_sequences_rejected(tmp_path, capsys):
     # the controller sweep's confidence interval needs two samples; the
     # config is refused before any stage trains

@@ -97,7 +97,7 @@ def test_early_exit_at_last_layer_equals_full(model):
         _, _, res_a = step_through(model, tokens, [ee] * len(tokens))
         _, _, res_b = step_through(model, tokens, [full] * len(tokens))
         for a, b in zip(res_a, res_b):
-            assert np.array_equal(a.probs, b.probs)
+            assert np.array_equal(a.logits, b.logits)
 
 
 def test_only_first_layer_executes_gives_layer1_output(model):
@@ -107,15 +107,6 @@ def test_only_first_layer_executes_gives_layer1_output(model):
     model.routed_forward(tokens, mask, cache, trace)
     for t in range(3):
         np.testing.assert_array_equal(trace.h(t, CFG.num_layers), trace.h(t, 1))
-
-
-def test_step_probs_sum_to_one(model):
-    rng = np.random.default_rng(2)
-    tokens = rand_tokens(rng, 8)
-    cache, trace = model.new_state()
-    res = model.routed_forward(tokens, RouteMask((1, 0, 1, 0)), cache, trace)
-    assert res.probs.sum() == pytest.approx(1.0, abs=1e-12)
-    assert np.all(res.probs >= 0)
 
 
 def test_executed_count_equals_mask_cost(model):
@@ -157,13 +148,10 @@ def test_kv_fill_uses_nearest_executed_state(model):
     assert np.all(prov[1] == PROV_FILLED)
     assert np.all(prov[2] == PROV_COMPUTED)
     assert np.all(prov[3] == PROV_FILLED)
-    for pos in range(3):
-        k2, v2 = model._kv_for_state(2, trace.h(pos, 1))
-        np.testing.assert_array_equal(cache.keys[1][pos], k2)
-        np.testing.assert_array_equal(cache.values[1][pos], v2)
-        k4, v4 = model._kv_for_state(4, trace.h(pos, 3))
-        np.testing.assert_array_equal(cache.keys[3][pos], k4)
-        np.testing.assert_array_equal(cache.values[3][pos], v4)
+    for layer in (2, 4):
+        k, v = model._kv_for_state(layer, np.stack([trace.h(pos, layer - 1) for pos in range(3)]))
+        np.testing.assert_array_equal(cache.keys[layer - 1, :3], k)
+        np.testing.assert_array_equal(cache.values[layer - 1, :3], v)
 
 
 def test_kv_fill_noop_when_all_executed(model):
@@ -183,8 +171,8 @@ def test_kv_fill_degenerate_only_layer1(model):
     assert np.all(prov[1:] == PROV_FILLED)
     # All fills derive from h^1 == h^2 == h^3 (pass-through).
     for l in (2, 3, 4):
-        k, _ = model._kv_for_state(l, trace.h(0, 1))
-        np.testing.assert_array_equal(cache.keys[l - 1][0], k)
+        k, _ = model._kv_for_state(l, np.stack([trace.h(pos, 1) for pos in range(2)]))
+        np.testing.assert_array_equal(cache.keys[l - 1, :2], k)
 
 
 def test_no_absent_entries_at_attended_positions_during_generation(model):
@@ -259,7 +247,7 @@ def test_incremental_matches_parallel_forward(model):
 
 def test_one_pass_routed_forward_matches_step_loop(model):
     # Three one-pass calls (full prefix, then (1,0,1,0), then (1,1,1,0),
-    # whose layer 2 fills the middle segment's pending slots before it
+    # whose layer 2 fills the middle segment's absent slots before it
     # attends) against `step` driven position by position under the same gates.
     rng = np.random.default_rng(17)
     tokens = rand_tokens(rng, 12)
@@ -273,13 +261,13 @@ def test_one_pass_routed_forward_matches_step_loop(model):
         np.testing.assert_allclose(res_a.logits, res_b[-1].logits, atol=1e-9)
         np.testing.assert_allclose(np.stack(trace_a.rows), np.stack(trace_b.rows), atol=1e-9)
         np.testing.assert_array_equal(cache_a.provenance(), cache_b.provenance())
-        assert cache_a.pending == cache_b.pending
-    assert cache_a.pending == [[], [], [], list(range(5, 12))]
+        assert cache_a.ready == cache_b.ready
+    assert cache_a.ready == [12, 12, 12, 5]
     assert np.all(cache_a.provenance()[1, 5:9] == PROV_FILLED)
     for cache, trace in ((cache_a, trace_a), (cache_b, trace_b)):
         fill_missing_kv(model, cache, trace)
     np.testing.assert_array_equal(cache_a.provenance(), cache_b.provenance())
-    assert cache_a.pending == cache_b.pending == [[], [], [], []]
+    assert cache_a.ready == cache_b.ready == [12] * 4
     n = len(tokens)
     np.testing.assert_allclose(cache_a.keys[:, :n], cache_b.keys[:, :n], atol=1e-9)
     np.testing.assert_allclose(cache_a.values[:, :n], cache_b.values[:, :n], atol=1e-9)
@@ -290,24 +278,23 @@ def test_kv_read_over_a_pending_slot_raises(model):
     model.routed_forward([1, 2, 3], RouteMask((1, 0, 1, 0)), cache, trace)
     k, v = cache.kv_matrices(1, 2)
     assert k.shape == v.shape == (3, CFG.hidden_dim)
-    with pytest.raises(ValueError, match="absent at read time"):
+    with pytest.raises(ValueError, match="layer 2 holds K/V for 0 positions, read up to 0"):
         cache.kv_matrices(2, 0)
-    with pytest.raises(ValueError, match="holds 3 positions"):
+    with pytest.raises(ValueError, match="layer 1 holds K/V for 3 positions, read up to 3"):
         cache.kv_matrices(1, 3)
 
 
 def test_fill_rejects_a_written_slot(model):
     cache, trace = model.new_state()
     model.routed_forward([1, 2, 3], RouteMask((1, 0, 1, 0)), cache, trace)
-    row = np.zeros(CFG.hidden_dim)
-    with pytest.raises(ValueError, match="already written"):
-        cache.fill(1, 0, row, row)
-    cache.fill(2, 0, row, row)
-    with pytest.raises(ValueError, match="already written"):
-        cache.fill(2, 0, row, row)
-    with pytest.raises(ValueError, match="not yet cached"):
-        cache.fill(2, 3, row, row)
-    assert cache.pending[1] == [1, 2]
+    row = np.zeros((1, CFG.hidden_dim))
+    with pytest.raises(ValueError, match="layer 1 has 0 absent slots, filling 1"):
+        cache.fill(1, row, row)
+    cache.fill(2, row, row)
+    with pytest.raises(ValueError, match="layer 2 has 2 absent slots, filling 3"):
+        cache.fill(2, *[np.zeros((3, CFG.hidden_dim))] * 2)
+    assert cache.ready[1] == 1
+    assert cache.provenance()[1].tolist() == [PROV_FILLED, PROV_ABSENT, PROV_ABSENT]
 
 
 def test_provenance_is_a_copy(model):
@@ -318,7 +305,33 @@ def test_provenance_is_a_copy(model):
     before = prov.copy()
     prov[:] = PROV_FILLED
     np.testing.assert_array_equal(cache.provenance(), before)
-    assert cache.pending[1] == [0, 1, 2]
+    assert cache.ready[1] == 0
+
+
+def test_absent_slots_are_the_positions_since_a_layer_last_executed(model):
+    # Random per-step masks, some skipping layer 1 and some skipping every
+    # layer: after each step a layer's absent slots are exactly the positions
+    # from its ready count on, and a read stops exactly at that count.
+    rng = np.random.default_rng(20)
+    cache, trace = model.new_state()
+    executed = np.zeros(CFG.num_layers, dtype=np.int64)
+    for pos, token in enumerate(rand_tokens(rng, CFG.max_context)):
+        bits = tuple(int(b) for b in rng.integers(0, 2, size=CFG.num_layers))
+        model.step(token, pos, lambda l, _h: bits[l - 1], cache, trace)
+        executed += bits
+        prov = cache.provenance()
+        assert cache.num_positions == pos + 1
+        for l in range(1, CFG.num_layers + 1):
+            ready = cache.ready[l - 1]
+            assert np.flatnonzero(prov[l - 1] == PROV_ABSENT).tolist() == list(range(ready, pos + 1))
+            assert (prov[l - 1] == PROV_COMPUTED).sum() == executed[l - 1]
+            if ready:
+                assert cache.kv_matrices(l, ready - 1)[0].shape == (ready, CFG.hidden_dim)
+            with pytest.raises(ValueError, match="holds K/V"):
+                cache.kv_matrices(l, ready)
+    fill_missing_kv(model, cache, trace)
+    assert not (cache.provenance() == PROV_ABSENT).any()
+    assert cache.ready == [CFG.max_context] * CFG.num_layers
 
 
 def test_step_past_max_context_raises(model):
@@ -329,8 +342,9 @@ def test_step_past_max_context_raises(model):
         model.step(1, CFG.max_context, lambda l, h: 1, cache, trace)
     assert cache.num_positions == trace.num_positions == CFG.max_context
     fresh, _ = model.new_state()
+    rows = np.zeros((CFG.max_context + 1, CFG.hidden_dim))
     with pytest.raises(ValueError, match="context overflow"):
-        fresh.append_absent(1, CFG.max_context + 1)
+        fresh.append_computed(1, rows, rows)
 
 
 def test_step_computes_two_layer_norms_per_executed_layer(model, monkeypatch):
@@ -483,7 +497,7 @@ def test_block_matches_naive_attention(long_model, tq, tk):
 
 def test_one_pass_over_several_row_blocks_matches_step_loop_and_forward_hidden(long_model, monkeypatch):
     # A cached prefix, then a 100-row pass under (1,0,1,0) and a 70-row pass
-    # under (1,1,1,0), whose layer 2 fills the 100 pending slots before it
+    # under (1,1,1,0), whose layer 2 fills the 100 absent slots before it
     # attends: both one-pass calls cross row-block boundaries.
     import depthlab.autodiff as autodiff_mod
 
@@ -513,7 +527,7 @@ def test_one_pass_over_several_row_blocks_matches_step_loop_and_forward_hidden(l
     np.testing.assert_allclose(np.stack(trace_a.rows), np.stack(trace_b.rows), atol=1e-9)
     np.testing.assert_allclose(np.stack(trace_a.rows), states, atol=1e-9)
     np.testing.assert_array_equal(cache_a.provenance(), cache_b.provenance())
-    assert cache_a.pending == cache_b.pending == [[], [], [], list(range(30, 200))]
+    assert cache_a.ready == cache_b.ready == [200, 200, 200, 30]
     n = len(tokens)
     np.testing.assert_allclose(cache_a.keys[:, :n], cache_b.keys[:, :n], atol=1e-9)
     np.testing.assert_allclose(cache_a.values[:, :n], cache_b.values[:, :n], atol=1e-9)

@@ -202,6 +202,16 @@ def test_early_stopping_within_patience():
     assert len(val_rows) - 1 - best_idx <= cfg.patience + 1
 
 
+def test_an_empty_validation_split_is_refused_before_the_first_step(monkeypatch):
+    # with no val examples every val ROUGE-L is nan and training would keep
+    # the initial weights
+    steps = []
+    monkeypatch.setattr(training, "sequence_loss_and_grads", lambda *a, **k: steps.append(1))
+    with pytest.raises(ValueError, match="empty validation split"):
+        finetune(DecoderModel(CFG, init_params(CFG, seed=9)), TRAIN, [], quick_cfg())
+    assert steps == []
+
+
 def test_divergence_aborts_with_step_index():
     model = DecoderModel(CFG, init_params(CFG, seed=9))
     model.params["head.w"] = model.params["head.w"] * np.nan
