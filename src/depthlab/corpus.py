@@ -54,8 +54,10 @@ class CorpusSpec:
             raise ValueError(f"unknown tasks: {sorted(unknown)}")
         if abs(sum(self.splits) - 1.0) > 1e-9:
             raise ValueError(f"split fractions must sum to 1, got {self.splits}")
-        if self.size < 1:
-            raise ValueError("size must be >= 1")
+        rows = _split_sizes(self.size, self.splits)
+        if min(rows) < 1:
+            counts = "{} train, {} val, {} test".format(*rows)
+            raise ValueError(f"size {self.size} leaves a split empty: {counts} rows")
         if not 1 <= self.min_words <= self.max_words:
             raise ValueError(f"min_words must be in 1..max_words ({self.max_words}), got {self.min_words}")
         if not self.alphabet or self.alphabet != self.alphabet.lower():
@@ -98,15 +100,18 @@ def gen_corpus(spec: CorpusSpec, seed: int) -> list[Example]:
     return examples
 
 
+def _split_sizes(n: int, splits: Sequence[float]) -> tuple[int, int, int]:
+    n_train, n_val = round(splits[0] * n), round(splits[1] * n)
+    return n_train, n_val, n - n_train - n_val
+
+
 def split_corpus(
     examples: Sequence[Example], splits: tuple[float, float, float]
 ) -> tuple[list[Example], list[Example], list[Example]]:
     """Partition in generation order (already randomized) into train/val/test."""
     if abs(sum(splits) - 1.0) > 1e-9:
         raise ValueError(f"split fractions must sum to 1, got {splits}")
-    n = len(examples)
-    n_train = round(splits[0] * n)
-    n_val = round(splits[1] * n)
+    n_train, n_val, _ = _split_sizes(len(examples), splits)
     return (
         list(examples[:n_train]),
         list(examples[n_train : n_train + n_val]),

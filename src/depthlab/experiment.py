@@ -4,11 +4,12 @@ training, controller sweeps, prediction sets, similarity probe, budget
 oracle, chi-square test, report merging).
 
 `CONFIG_KEYS` declares each INI key once, with its default text and its
-parser; `ExperimentConfig.load` parses every value when the config loads.
-`STAGES` declares each stage once: its subcommand, its directory under the
-run root, the files it reads and its body. `run_stage` resolves those files
-from their producers' manifests, refuses missing and stale ones, runs the
-body and writes the stage's manifest."""
+parser. Loading a config parses every value and builds every object the
+stages run from once, so a bad value fails before any stage runs, in one
+error that names its [section]. `STAGES` declares each stage once: its
+subcommand, its run-root directory, the files it reads and its body.
+`run_stage` resolves those files from their producers' manifests, refuses
+missing and stale ones, runs the body and writes the stage's records."""
 
 from __future__ import annotations
 
@@ -18,9 +19,10 @@ import hashlib
 import json
 import math
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from pathlib import Path, PurePosixPath
-from typing import Callable, Sequence, TypeVar
+from typing import Callable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
@@ -91,11 +93,13 @@ def _fractions(text: str) -> tuple[float, ...]:
     return fractions
 
 
-def _two_or_more(text: str) -> int:
-    # the controller sweep reports a confidence interval over them
-    if (n := int(text)) < 2:
-        raise ValueError("must be >= 2")
-    return n
+def _at_least(least: int) -> Callable[[str], int]:
+    def parse_int(text: str) -> int:
+        if (n := int(text)) < least:
+            raise ValueError(f"must be >= {least}")
+        return n
+
+    return parse_int
 
 
 # Every INI key, declared once: section -> key -> (default text, parser).
@@ -143,15 +147,16 @@ CONFIG_KEYS: dict[str, dict[str, tuple[str, Callable[[str], object]]]] = {
         "freeze_backbone": ("false", _bool),
         "exclude_first": ("true", _bool),
         "exclude_last": ("true", _bool),
-        "eval_sequences": ("24", _two_or_more),
+        # the controller sweep reports a confidence interval over them
+        "eval_sequences": ("24", _at_least(2)),
     },
     "routing": {"strategies": ("ee,uls,rls,rls_no1", _list(str)), "cost_grid": ("2,3,4,6,8", _list(int))},
-    "generate": {"cost_fractions": ("0.1667,0.3333,0.5,1.0", _fractions), "max_new": ("40", int)},
-    "probe": {"max_new": ("24", int), "max_sequences": ("32", int), "stop_at_eos": ("true", _bool)},
+    "generate": {"cost_fractions": ("0.1667,0.3333,0.5,1.0", _fractions), "max_new": ("40", _at_least(1))},
+    "probe": {"max_new": ("24", _at_least(1)), "max_sequences": ("32", _at_least(1)), "stop_at_eos": ("true", _bool)},
     "oracle": {
         "budget_grid": ("1,1.5,2,2.5,3,3.5,4,4.5,5,6,7,8", _list(float)),
-        "bin_width": ("5", int),
-        "num_bins": ("7", int),
+        "bin_width": ("5", _at_least(1)),
+        "num_bins": ("7", _at_least(1)),
     },
 }
 
@@ -166,10 +171,57 @@ class StaleArtifact(RuntimeError):
     pass
 
 
-@dataclass
+@contextmanager
+def _section(name: str) -> Iterator[None]:
+    """Prefix `[name]` to a ValueError raised inside."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"[{name}] {exc}") from exc
+
+
 class ExperimentConfig:
-    sections: dict[str, dict[str, str]]  # the texts: what the hashes and config_resolved.json record
-    values: dict[str, dict[str, object]]  # the same keys, parsed
+    """A config's INI texts (`sections`: what the hashes and
+    config_resolved.json record), their parsed `values`, and the objects
+    built and checked from them when the config loads. The stages read these
+    objects and build none again."""
+
+    def __init__(self, sections: dict[str, dict[str, str]]):
+        self.sections = sections
+        # Every value is parsed here once, so a bad one fails before any stage runs ...
+        self.values: dict[str, dict[str, object]] = {}
+        for section, keys in CONFIG_KEYS.items():
+            self.values[section] = {}
+            for key, (_, parse) in keys.items():
+                try:
+                    self.values[section][key] = parse(sections[section][key])
+                except ValueError as exc:
+                    raise ValueError(f"[{section}] {key} {exc}") from exc
+        # ... and so is each object that checks values across keys.
+        self.seed, ctl = self.values["run"]["seed"], self.values["controllers"]
+        with _section("model"):
+            self.model = ModelConfig(**self.values["model"])
+        L = self.model.num_layers
+        with _section("corpus"):
+            self.corpus = CorpusSpec(**self.values["corpus"])
+        with _section("train"):
+            self.train = TrainConfig(seed=self.seed, **self.values["train"])
+        with _section("controllers"):
+            self.controller_train = TrainConfig(
+                seed=self.seed,
+                max_eval_sequences=ctl["eval_sequences"],
+                eval_max_new=self.values["generate"]["max_new"],
+                **{key: value for key, value in ctl.items() if key in _TRAIN_FIELDS},
+            )
+            self.gumbel = GumbelConfig(temperature=ctl["temperature"])
+            self.controlled_layers = controlled_layers(self.model, ctl["exclude_first"], ctl["exclude_last"])
+        with _section("routing"):
+            self.strategies = RoutePlan.parse(",".join(self.values["routing"]["strategies"]), L)
+            self.cost_grid = list(self.values["routing"]["cost_grid"])
+            if not all(1 <= c <= L for c in self.cost_grid):
+                raise ValueError(f"cost_grid {self.cost_grid} has a cost outside 1..{L}")
+        # The [generate] cost fractions of L, each rounded and at least 1.
+        self.generate_costs = sorted({max(1, round(frac * L)) for frac in self.values["generate"]["cost_fractions"]})
 
     @staticmethod
     def load(path: str | Path | None, seed: int | None = None) -> "ExperimentConfig":
@@ -193,71 +245,13 @@ class ExperimentConfig:
                     sections[section][key] = value
         if seed is not None:
             sections["run"]["seed"] = str(seed)
-        # Every value is parsed here once, so a bad one fails before any stage runs.
-        values: dict[str, dict[str, object]] = {}
-        for section, keys in CONFIG_KEYS.items():
-            values[section] = {}
-            for key, (_, parse) in keys.items():
-                try:
-                    values[section][key] = parse(sections[section][key])
-                except ValueError as exc:
-                    raise ValueError(f"[{section}] {key} {exc}") from exc
-        cfg = ExperimentConfig(sections, values)
-        # ... and so are the objects that check values across keys.
-        for build in (cfg.model_config, cfg.corpus_spec, cfg.train_config, cfg.controller_train_config,
-                      cfg.strategies, cfg.cost_grid):
-            build()
-        return cfg
-
-    # -- typed accessors ------------------------------------------------------
+        return ExperimentConfig(sections)
 
     def getint(self, section: str, key: str) -> int:
         return int(self.values[section][key])
 
     def getfloat(self, section: str, key: str) -> float:
         return float(self.values[section][key])
-
-    @property
-    def seed(self) -> int:
-        return self.values["run"]["seed"]
-
-    def model_config(self) -> ModelConfig:
-        return ModelConfig(**self.values["model"])
-
-    def corpus_spec(self) -> CorpusSpec:
-        return CorpusSpec(**self.values["corpus"])
-
-    def train_config(self) -> TrainConfig:
-        return TrainConfig(seed=self.seed, **self.values["train"])
-
-    def controller_train_config(self) -> TrainConfig:
-        ctl = self.values["controllers"]
-        return TrainConfig(
-            seed=self.seed,
-            max_eval_sequences=ctl["eval_sequences"],
-            eval_max_new=self.values["generate"]["max_new"],
-            **{key: value for key, value in ctl.items() if key in _TRAIN_FIELDS},
-        )
-
-    def alpha_grid(self) -> list[float]:
-        return list(self.values["controllers"]["alpha_grid"])
-
-    def input_modes(self) -> list[InputMode]:
-        return list(self.values["controllers"]["input_modes"])
-
-    def strategies(self) -> list[RoutePlan]:
-        return RoutePlan.parse(",".join(self.values["routing"]["strategies"]), self.model_config().num_layers)
-
-    def cost_grid(self) -> list[int]:
-        costs, L = list(self.values["routing"]["cost_grid"]), self.model_config().num_layers
-        if not all(1 <= c <= L for c in costs):
-            raise ValueError(f"[routing] cost_grid {costs} has a cost outside 1..{L}")
-        return costs
-
-    def generate_costs(self) -> list[int]:
-        """Costs of the fractions of L, each rounded and at least 1."""
-        L = self.model_config().num_layers
-        return sorted({max(1, round(frac * L)) for frac in self.values["generate"]["cost_fractions"]})
 
     def budget_grid(self) -> list[float]:
         return list(self.values["oracle"]["budget_grid"])
@@ -294,12 +288,15 @@ def write_stage_manifest(
     inputs: dict[str, str],
     before: dict[Path, int],
 ) -> None:
-    """Record the hashes of what the stage read (`inputs`, path -> sha256) and
-    of every file this run wrote but this manifest: the files that are not
-    in `before`, the directory's modification times taken before the stage
-    ran, or whose time has changed since. Files an earlier run left are not
-    listed. Paths are relative to the run root so reruns in different roots
-    stay byte-identical."""
+    """Write the stage's records once its body has run: the resolved config,
+    `config_resolved.json`, and the manifest. The manifest holds the hashes
+    of what the stage read (`inputs`, path -> sha256) and of every file this
+    run wrote but the manifest: the files that are not in `before`, the
+    directory's modification times taken before the stage ran, or whose time
+    has changed since. Files an earlier run left are not listed. Paths are
+    relative to the run root so reruns in different roots stay
+    byte-identical."""
+    (stage_dir / "config_resolved.json").write_text(cfg.resolved_json())
     own = stage_dir / "manifest.json"
     outputs = sorted(p for p, t in _mtimes(stage_dir).items() if p != own and before.get(p) != t)
     manifest = {
@@ -349,9 +346,8 @@ def _check_fresh(out: Path, hashes: dict[str, str]) -> None:
 
 
 def _gen_corpus(cfg: ExperimentConfig, out: Path, stage: Path, inputs: list[Path]) -> None:
-    spec = cfg.corpus_spec()
-    examples = gen_corpus(spec, cfg.seed)
-    train, val, test = split_corpus(examples, spec.splits)
+    examples = gen_corpus(cfg.corpus, cfg.seed)
+    train, val, test = split_corpus(examples, cfg.corpus.splits)
     write_jsonl(examples, stage / "corpus.jsonl")
     write_jsonl(train, stage / "train.jsonl")
     write_jsonl(val, stage / "val.jsonl")
@@ -363,22 +359,26 @@ def _load_split(out: Path, name: str) -> list[Example]:
 
 
 def _train(cfg: ExperimentConfig, out: Path, stage: Path, inputs: list[Path]) -> None:
-    model_cfg = cfg.model_config()
-    model = DecoderModel(model_cfg, init_params(model_cfg, seed=cfg.seed))
-    result = finetune(model, _load_split(out, "train"), _load_split(out, "val"), cfg.train_config())
+    model = DecoderModel(cfg.model, init_params(cfg.model, seed=cfg.seed))
+    result = finetune(model, _load_split(out, "train"), _load_split(out, "val"), cfg.train)
     save_checkpoint(
         stage / "backbone",
-        model_cfg,
+        cfg.model,
         model.params,
         extra={"config_hash": cfg.config_hash(), "seed": cfg.seed, "best_rouge_l": result.best_metric},
     )
     write_log_csv(result.log, stage / "train_log.csv")
 
 
-def _load_backbone(out: Path) -> DecoderModel:
+def _load_backbone(cfg: ExperimentConfig, out: Path) -> DecoderModel:
+    """The backbone `train` wrote, refused when its model is not [model]'s."""
     model_cfg, params, _ = load_checkpoint(out / "checkpoints" / "backbone")
+    if model_cfg != cfg.model:
+        names = [f.name for f in fields(ModelConfig) if getattr(model_cfg, f.name) != getattr(cfg.model, f.name)]
+        ours, theirs = (", ".join(f"{n} = {getattr(c, n)}" for n in names) for c in (cfg.model, model_cfg))
+        raise StaleArtifact(f"[model] has {ours}, the backbone `train` wrote has {theirs} — rerun `train`")
     backbone, _ = split_controller_params(params)
-    return DecoderModel(model_cfg, backbone)
+    return DecoderModel(cfg.model, backbone)
 
 
 def _train_controllers(cfg: ExperimentConfig, out: Path, stage: Path, inputs: list[Path]) -> None:
@@ -395,35 +395,31 @@ def _train_controllers(cfg: ExperimentConfig, out: Path, stage: Path, inputs: li
     train_examples = _load_split(out, "train")
     val_examples = _load_split(out, "val")
     test_examples = _load_split(out, "test")
-    model_cfg = cfg.model_config()
-    tcfg = cfg.controller_train_config()
-    ctl = cfg.values["controllers"]
-    temperature = ctl["temperature"]
-    layers = controlled_layers(model_cfg, exclude_first=ctl["exclude_first"], exclude_last=ctl["exclude_last"])
+    tcfg, layers, ctl = cfg.controller_train, cfg.controlled_layers, cfg.values["controllers"]
 
     summary_rows = [["input_mode", "alpha", "mean_cost", "rouge_l", "rouge_ci_low", "rouge_ci_high", "n", "empty"]]
     ratio_rows = [["input_mode", "alpha", "layer", "skip_fraction"]]
-    for mode_idx, mode in enumerate(cfg.input_modes()):
-        for alpha in cfg.alpha_grid():
-            model = _load_backbone(out)
+    for mode_idx, mode in enumerate(ctl["input_modes"]):
+        for alpha in ctl["alpha_grid"]:
+            model = _load_backbone(cfg, out)
             bank = ControllerBank(
-                model_cfg,
-                init_controller_params(model_cfg, layers, seed=cfg.seed + 1000 * mode_idx + int(alpha)),
+                cfg.model,
+                init_controller_params(cfg.model, layers, seed=cfg.seed + 1000 * mode_idx + int(alpha)),
                 input_mode=mode,
-                gumbel=GumbelConfig(temperature=temperature),
+                gumbel=cfg.gumbel,
             )
             result = train_controllers(model, bank, train_examples, val_examples, tcfg, alpha)
             run_dir = stage / f"{mode.value}_a{alpha:g}"
             save_checkpoint(
                 run_dir / "checkpoint",
-                model_cfg,
+                cfg.model,
                 {**model.params, **bank.params},
                 extra={
                     "config_hash": cfg.config_hash(),
                     "seed": cfg.seed,
                     "alpha": alpha,
                     "input_mode": mode.value,
-                    "temperature": temperature,
+                    "temperature": cfg.gumbel.temperature,
                     "controlled_layers": layers,
                     "freeze_backbone": tcfg.freeze_backbone,
                 },
@@ -454,10 +450,10 @@ def _train_controllers(cfg: ExperimentConfig, out: Path, stage: Path, inputs: li
 
 
 def _generate(cfg: ExperimentConfig, out: Path, stage: Path, inputs: list[Path]) -> None:
-    model = _load_backbone(out)
+    model = _load_backbone(cfg, out)
     test_examples = _load_split(out, "test")
     max_new = cfg.values["generate"]["max_new"]
-    for cost in cfg.generate_costs():
+    for cost in cfg.generate_costs:
         plan = RoutePlan.uniform_skip(model.cfg.num_layers, cost)
         with open(stage / f"uls_c{cost}.jsonl", "w") as fh:
             for ex in test_examples:
@@ -477,15 +473,15 @@ def _generate(cfg: ExperimentConfig, out: Path, stage: Path, inputs: list[Path])
 
 
 def _probe(cfg: ExperimentConfig, out: Path, stage: Path, inputs: list[Path]) -> None:
-    model = _load_backbone(out)
+    model = _load_backbone(cfg, out)
     test_examples = _load_split(out, "test")
     settings = cfg.values["probe"]
     prompts = [tokenizer.encode(ex.prompt, add_bos=True) for ex in test_examples[: settings["max_sequences"]]]
     report = probe(
         model,
         prompts,
-        cfg.strategies(),
-        cfg.cost_grid(),
+        cfg.strategies,
+        cfg.cost_grid,
         seed=cfg.seed,
         max_new=settings["max_new"],
         stop_at_eos=settings["stop_at_eos"],
@@ -666,10 +662,9 @@ def _missing(out: Path, rel: str) -> MissingArtifact:
 
 def run_stage(name: str, cfg: ExperimentConfig, out: Path, **options) -> None:
     """Run stage `name` in the run root `out`: resolve the files it reads and
-    refuse missing or stale ones, write its directory's
-    `config_resolved.json`, run its body with `options`, and write its
-    manifest from the input hashes and the directory's modification times
-    taken before the body ran."""
+    refuse missing or stale ones, run its body with `options`, and write its
+    records from the input hashes and the directory's modification times
+    taken before the body ran. A body that raises leaves no records."""
     stage = STAGES[name]
     inputs = []
     for pattern in stage.reads:
@@ -688,6 +683,5 @@ def run_stage(name: str, cfg: ExperimentConfig, out: Path, **options) -> None:
     stage_dir = out / stage.dir
     stage_dir.mkdir(parents=True, exist_ok=True)
     before = _mtimes(stage_dir)
-    (stage_dir / "config_resolved.json").write_text(cfg.resolved_json())
     stage.body(cfg, out, stage_dir, inputs, **options)
     write_stage_manifest(stage_dir, name, cfg, out, hashes, before)

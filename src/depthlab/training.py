@@ -49,7 +49,7 @@ class TrainConfig:
     controller_learning_rate: float | None = None
 
     def __post_init__(self) -> None:
-        for name in ("batch_size", "max_epochs", "max_eval_sequences"):
+        for name in ("batch_size", "max_epochs", "max_eval_sequences", "eval_max_new"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
         if self.patience < 0:

@@ -35,8 +35,8 @@ def test_gen_corpus_task_semantics():
 
 
 def test_empty_split_round_trips_as_an_empty_file(tmp_path):
-    # a small corpus can leave a split empty; a corpus of no example is refused
-    with pytest.raises(ValueError, match="size must be >= 1"):
+    # a spec is refused when it leaves a split empty; a hand-written split may be
+    with pytest.raises(ValueError, match="size 0 leaves a split empty"):
         CorpusSpec(size=0)
     path = tmp_path / "empty.jsonl"
     write_jsonl([], path)
@@ -62,6 +62,18 @@ def test_split_fractions_validated():
         CorpusSpec(size=10, splits=(0.5, 0.2, 0.2))
     with pytest.raises(ValueError, match="sum to 1"):
         split_corpus([], (0.9, 0.2, 0.1))
+
+
+def test_a_size_that_leaves_a_split_empty_is_refused():
+    # 0.15 of 3 rounds to no validation row; 0.70 and 0.15 of 4 and 5 leave no test row
+    for size, rows in ((1, "1 train, 0 val, 0 test"), (3, "2 train, 0 val, 1 test"),
+                       (4, "3 train, 1 val, 0 test"), (5, "4 train, 1 val, 0 test")):
+        with pytest.raises(ValueError, match=f"size {size} leaves a split empty: {rows} rows"):
+            CorpusSpec(size=size)
+    splits = split_corpus(gen_corpus(CorpusSpec(size=6), seed=0), (0.70, 0.15, 0.15))
+    assert [len(split) for split in splits] == [4, 1, 1]
+    with pytest.raises(ValueError, match="size 10 leaves a split empty"):
+        CorpusSpec(size=10, splits=(0.5, 0.5, 0.0))
 
 
 def test_split_sizes():

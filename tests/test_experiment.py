@@ -151,16 +151,22 @@ def test_chi2_artifact_structure(run_dir):
     assert set(payload) >= {"statistic", "dof", "p_value", "table", "model_costs"}
 
 
-def test_all_empty_controller_sweep_reports_nan_cost(run_dir, tmp_path):
-    # A backbone whose head always picks EOS emits nothing: each generation
-    # takes no step, so there is no realized cost to average.
-    config = run_dir / "tiny.ini"
+@pytest.fixture
+def mute_out(run_dir, tmp_path):
+    """A run root holding the TINY corpus and a backbone whose head always
+    picks EOS."""
     out = tmp_path / "mute"
     shutil.copytree(run_dir / "out" / "corpus", out / "corpus")
-    backbone = run_dir / "out" / "checkpoints" / "backbone"
-    model_cfg, params, extra = load_checkpoint(backbone)
+    model_cfg, params, extra = load_checkpoint(run_dir / "out" / "checkpoints" / "backbone")
     params["head.b"][tokenizer.EOS] = 1e3
     save_checkpoint(out / "checkpoints" / "backbone", model_cfg, params, extra=extra)
+    return out
+
+
+def test_all_empty_controller_sweep_reports_nan_cost(run_dir, mute_out):
+    # A backbone that emits nothing: each generation takes no step, so there
+    # is no realized cost to average.
+    config, out = run_dir / "tiny.ini", mute_out
     assert main(["train-controllers", "--config", str(config), "--out", str(out), "--seed", "0"]) == 0
     rows = list(csv.DictReader((out / "controllers" / "sweep_summary.csv").read_text().splitlines()))
     assert [(r["empty"], r["n"], r["mean_cost"]) for r in rows] == [("4", "4", "nan")]
@@ -168,6 +174,31 @@ def test_all_empty_controller_sweep_reports_nan_cost(run_dir, tmp_path):
     assert [r["mean_cost"] for r in log if r["split"] == "val"] == ["nan"] * 3
     ratios = list(csv.DictReader((out / "controllers" / "skip_ratios.csv").read_text().splitlines()))
     assert [(r["layer"], r["skip_fraction"]) for r in ratios] == [("2", "nan"), ("3", "nan")]
+
+
+def test_a_stage_whose_body_fails_writes_no_records(run_dir, mute_out, tmp_path, capsys):
+    # probe stops each reference generation at EOS here, so every one is empty
+    config = tmp_path / "eos.ini"
+    config.write_text((run_dir / "tiny.ini").read_text().replace("stop_at_eos = false", "stop_at_eos = true"))
+    assert main(["probe", "--config", str(config), "--out", str(mute_out)]) == 1
+    assert "every reference generation was empty" in capsys.readouterr().err
+    assert list((mute_out / "probe").iterdir()) == []
+
+
+@pytest.mark.parametrize("stage", ["train-controllers", "generate", "probe"])
+def test_a_backbone_of_another_model_config_is_refused(run_dir, tmp_path, capsys, stage):
+    out = tmp_path / "out"
+    shutil.copytree(run_dir / "out", out)
+    config = tmp_path / "wider.ini"
+    config.write_text((run_dir / "tiny.ini").read_text().replace("ffn_dim = 32", "ffn_dim = 48"))
+    stage_dir = out / STAGES[stage].dir
+    before = {p: p.read_bytes() for p in stage_dir.rglob("*") if p.is_file()}
+    assert main([stage, "--config", str(config), "--out", str(out)]) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line == (
+        "error: [model] has ffn_dim = 48, the backbone `train` wrote has ffn_dim = 32 — rerun `train`"
+    )
+    assert {p: p.read_bytes() for p in stage_dir.rglob("*") if p.is_file()} == before
 
 
 def test_skip_ratios_come_from_the_scored_test_generations(run_dir):
@@ -180,7 +211,7 @@ def test_skip_ratios_come_from_the_scored_test_generations(run_dir):
     bank = ControllerBank(model_cfg, ctrl, input_mode=InputMode.HIDDEN_STATE)
     test = read_jsonl(out / "corpus" / "test.jsonl")
     scores, bits = rouge_eval(
-        DecoderModel(model_cfg, backbone), test, cfg.controller_train_config(), (0, 11, 0, 40), bank=bank
+        DecoderModel(model_cfg, backbone), test, cfg.controller_train, (0, 11, 0, 40), bank=bank
     )
     steps = np.concatenate(bits)
     assert len(steps) > 0
@@ -375,7 +406,7 @@ def test_misspelled_boolean_rejected(tmp_path, capsys):
     assert "[controllers] freeze_backbone must be true/false" in capsys.readouterr().err
     for text, value in (("Yes", True), (" off ", False), ("1", True)):
         bad.write_text(f"[controllers]\nfreeze_backbone = {text}\n")
-        assert ExperimentConfig.load(bad).controller_train_config().freeze_backbone is value
+        assert ExperimentConfig.load(bad).controller_train.freeze_backbone is value
 
 
 def test_bad_training_values_rejected_at_load(tmp_path, capsys):
@@ -391,7 +422,7 @@ def test_bad_training_values_rejected_at_load(tmp_path, capsys):
     with pytest.raises(ValueError, match="patience"):
         ExperimentConfig.load(bad)
     bad.write_text("[train]\nschedule = constant\n")
-    assert ExperimentConfig.load(bad).train_config().schedule == "constant"
+    assert ExperimentConfig.load(bad).train.schedule == "constant"
 
 
 @pytest.mark.parametrize(
@@ -542,23 +573,34 @@ def test_malformed_config_is_one_error_line(tmp_path, capsys, text):
         ("[train]\nbatch_size = 0\n", "batch_size"),
         ("[train]\nmax_epochs = 0\n", "max_epochs"),
         ("[train]\nmax_eval_sequences = 0\n", "max_eval_sequences"),
+        ("[train]\neval_max_new = 0\n", "eval_max_new"),
         ("[controllers]\nbatch_size = 0\n", "batch_size"),
         ("[controllers]\nmax_epochs = 0\n", "max_epochs"),
         ("[corpus]\nsize = 0\n", "size"),
         ("[corpus]\nmin_words = 0\n", "min_words"),
         ("[corpus]\nmin_words = 3\nmax_words = 1\n", "min_words"),
+        ("[corpus]\nsize = 3\n", "size"),
+        ("[controllers]\ntemperature = 0\n", "temperature"),
+        ("[generate]\nmax_new = 0\n", "max_new"),
+        ("[probe]\nmax_new = 0\n", "max_new"),
+        ("[probe]\nmax_sequences = 0\n", "max_sequences"),
+        ("[oracle]\nbin_width = 0\n", "bin_width"),
+        ("[oracle]\nnum_bins = 0\n", "num_bins"),
     ],
-    ids=["train.batch_size", "train.max_epochs", "train.max_eval_sequences", "controllers.batch_size",
-         "controllers.max_epochs", "corpus.size", "corpus.min_words", "corpus.min_words_above_max_words"],
+    ids=["train.batch_size", "train.max_epochs", "train.max_eval_sequences", "train.eval_max_new",
+         "controllers.batch_size", "controllers.max_epochs", "corpus.size", "corpus.min_words",
+         "corpus.min_words_above_max_words", "corpus.size_with_an_empty_split", "controllers.temperature",
+         "generate.max_new", "probe.max_new", "probe.max_sequences", "oracle.bin_width", "oracle.num_bins"],
 )
 def test_values_that_would_fail_late_or_train_nothing_are_refused_at_load(tmp_path, capsys, text, key):
     bad = tmp_path / "bad.ini"
     bad.write_text(text)
+    section = text.splitlines()[0]
     with pytest.raises(ValueError, match=key):
         ExperimentConfig.load(bad)
     assert main(["gen-corpus", "--config", str(bad), "--out", str(tmp_path / "o")]) == 1
     (line,) = capsys.readouterr().err.splitlines()
-    assert line.startswith("error: ") and key in line
+    assert line.startswith(f"error: {section} ") and key in line
     assert not (tmp_path / "o").exists()
 
 
@@ -573,16 +615,16 @@ def test_fewer_than_two_controller_eval_sequences_rejected(tmp_path, capsys):
         assert main(["train-controllers", "--config", str(bad), "--out", str(tmp_path / "o")]) == 1
         assert "eval_sequences must be >= 2" in capsys.readouterr().err
     bad.write_text("[controllers]\neval_sequences = 2\n")
-    assert ExperimentConfig.load(bad).controller_train_config().max_eval_sequences == 2
+    assert ExperimentConfig.load(bad).controller_train.max_eval_sequences == 2
 
 
 def test_config_defaults_and_cost_fractions():
     cfg = ExperimentConfig.load(None)
-    assert cfg.model_config().num_layers == 8
-    assert cfg.generate_costs() == [1, 3, 4, 8]
-    assert cfg.cost_grid() == [2, 3, 4, 6, 8]
-    assert [m.value for m in cfg.input_modes()] == ["hidden", "fixed"]
-    assert cfg.alpha_grid() == [2.0, 4.0, 6.0, 10.0]
+    assert cfg.model.num_layers == 8
+    assert cfg.generate_costs == [1, 3, 4, 8]
+    assert cfg.cost_grid == [2, 3, 4, 6, 8]
+    assert [m.value for m in cfg.values["controllers"]["input_modes"]] == ["hidden", "fixed"]
+    assert cfg.values["controllers"]["alpha_grid"] == (2.0, 4.0, 6.0, 10.0)
 
 
 def test_config_hash_stable_and_seed_sensitive():
