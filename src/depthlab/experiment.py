@@ -215,6 +215,12 @@ class ExperimentConfig:
             )
             self.gumbel = GumbelConfig(temperature=ctl["temperature"])
             self.controlled_layers = controlled_layers(self.model, ctl["exclude_first"], ctl["exclude_last"])
+            if not self.controlled_layers:  # a sweep would train banks with no gate
+                text = self.sections["controllers"]
+                raise ValueError(
+                    f"exclude_first = {text['exclude_first']} and exclude_last = {text['exclude_last']}"
+                    f" leave no controlled layer of num_layers = {L}"
+                )
         with _section("routing"):
             self.strategies = RoutePlan.parse(",".join(self.values["routing"]["strategies"]), L)
             self.cost_grid = list(self.values["routing"]["cost_grid"])

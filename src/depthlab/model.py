@@ -41,7 +41,9 @@ projection of those positions' incoming states, then appends its own rows. So
 a layer's absent slots are always the positions since it last executed, and
 one count per layer, `ready`, records them: positions below it hold K/V, and
 a read up to a position below it returns views without restacking the
-history.
+history. The trace (`HiddenTrace`) is one (max_context, L+1, d) array on a
+mapping of its own for the same reason: a pass writes its states in place,
+and a layer's fill, a replay's prompt and the probe read slices of it.
 """
 
 from __future__ import annotations
@@ -188,25 +190,23 @@ class KVCache:
 
 
 class HiddenTrace:
-    """Per position, the hidden states h^0..h^L (h^0 = embedding output)."""
+    """Per position, the hidden states h^0..h^L (h^0 = embedding output).
 
-    def __init__(self, num_layers: int, hidden_dim: int):
-        self.num_layers = num_layers
-        self.hidden_dim = hidden_dim
-        self.rows: list[np.ndarray] = []  # each (L+1, d)
+    `states` is one (max_context, L+1, d) array on its own mapping, as the
+    cache's arrays are: only the pages of processed positions become
+    resident, and they go back to the system with the trace. A pass writes
+    its positions' rows in place, from num_positions on, so a `rows` view
+    taken earlier never changes.
+    """
 
-    def append(self, states: np.ndarray) -> None:
-        """Append the states (t, L+1, d) of t consecutive positions."""
-        if states.shape[1:] != (self.num_layers + 1, self.hidden_dim):
-            raise ValueError(f"trace rows shape {states.shape}")
-        self.rows.extend(states)
-
-    def h(self, position: int, layer: int) -> np.ndarray:
-        return self.rows[position][layer]
+    def __init__(self, num_layers: int, max_context: int, hidden_dim: int):
+        self.states = _mapped_array((max_context, num_layers + 1, hidden_dim))
+        self.num_positions = 0
 
     @property
-    def num_positions(self) -> int:
-        return len(self.rows)
+    def rows(self) -> np.ndarray:
+        """The (num_positions, L+1, d) view of the processed positions."""
+        return self.states[: self.num_positions]
 
 
 @dataclass
@@ -254,11 +254,6 @@ class DecoderModel:
             )
         return self.params["tok_emb"][ids] + self.params["pos_emb"][start_pos : start_pos + ids.size]
 
-    def _ln(self, x: np.ndarray, prefix: str) -> np.ndarray:
-        return _layer_norm_forward(
-            x, self.params[prefix + ".gain"], self.params[prefix + ".bias"], self.cfg.layer_norm_eps
-        )
-
     def _kv_for_state(self, layer: int, h_in: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Key/value rows this layer derives from an incoming hidden state:
         the fill of a skipped position, the same LN1 and projections that
@@ -274,10 +269,9 @@ class DecoderModel:
     def _fill_absent(self, layer: int, cache: KVCache, trace: HiddenTrace) -> None:
         """Fill the layer's absent slots, positions ready..num_positions-1,
         in one projection of their incoming hidden states."""
-        positions = range(cache.ready[layer - 1], cache.num_positions)
-        if positions:
-            h_in = np.stack([trace.h(j, layer - 1) for j in positions])
-            cache.fill(layer, *self._kv_for_state(layer, h_in))
+        ready = cache.ready[layer - 1]
+        if ready < cache.num_positions:
+            cache.fill(layer, *self._kv_for_state(layer, trace.states[ready : cache.num_positions, layer - 1]))
 
     def _block(
         self,
@@ -298,15 +292,15 @@ class DecoderModel:
         self, h: np.ndarray, start: int, gate: GateFn, cache: KVCache, trace: HiddenTrace
     ) -> tuple[np.ndarray, tuple[int, ...]]:
         """Run the embedded rows h (t, d) at positions start.. through every
-        layer, appending to cache and trace. `gate(l, h)` gives layer l's bit
-        for all t rows; only executed layers touch the cache. Returns (final
-        hidden rows, bits)."""
+        layer, appending to cache and writing the trace's rows in place.
+        `gate(l, h)` gives layer l's bit for all t rows; only executed layers
+        touch the cache. Returns (final hidden rows, bits)."""
         cfg = self.cfg
         if cache.num_positions != start or trace.num_positions != start:
             raise ValueError(
                 f"cache/position inconsistency: cache holds {cache.num_positions} positions, stepping {start}"
             )
-        states = np.empty((h.shape[0], cfg.num_layers + 1, cfg.hidden_dim))
+        states = trace.states[start : start + h.shape[0]]
         states[:, 0] = h
         bits = []
         for l in range(1, cfg.num_layers + 1):
@@ -316,19 +310,20 @@ class DecoderModel:
                 self._fill_absent(l, cache, trace)
                 h = self._block(l, h, lambda k, v: cache.kv_matrices(l, cache.append_computed(l, k, v)))
             states[:, l] = h
-        trace.append(states)
-        cache.num_positions += h.shape[0]
+        cache.num_positions = trace.num_positions = start + h.shape[0]
         return h, tuple(bits)
 
-    def _head(self, h_row: np.ndarray, bits: tuple[int, ...]) -> StepResult:
-        logits = self._ln(h_row, "final_ln") @ self.params["head.w"] + self.params["head.b"]
-        return StepResult(logits=logits, bits=bits)
+    def _logits(self, h: np.ndarray) -> np.ndarray:
+        """The head's logits of the final hidden rows h: final LN, then the projection."""
+        p = self.params
+        x = _layer_norm_forward(h, p["final_ln.gain"], p["final_ln.bias"], self.cfg.layer_norm_eps)
+        return x @ p["head.w"] + p["head.b"]
 
     def step(self, token_id: int, pos: int, gate_fn: GateFn, cache: KVCache, trace: HiddenTrace) -> StepResult:
         """Process one position with per-layer gating, updating cache+trace."""
         h = self.embed([token_id], start_pos=pos)
         h, bits = self._cached_pass(h, pos, lambda l, rows: gate_fn(l, rows[0]), cache, trace)
-        return self._head(h[0], bits)
+        return StepResult(self._logits(h[0]), bits)
 
     def routed_forward(
         self,
@@ -347,11 +342,12 @@ class DecoderModel:
             raise ValueError("no new positions to process")
         h = self.embed(token_ids[start:], start_pos=start)
         h, bits = self._cached_pass(h, start, _mask_gate(mask.bits), cache, trace)
-        return self._head(h[-1], bits)
+        return StepResult(self._logits(h[-1]), bits)
 
     def new_state(self) -> tuple[KVCache, HiddenTrace]:
         cfg = self.cfg
-        return KVCache(cfg.num_layers, cfg.max_context, cfg.hidden_dim), HiddenTrace(cfg.num_layers, cfg.hidden_dim)
+        shape = (cfg.num_layers, cfg.max_context, cfg.hidden_dim)
+        return KVCache(*shape), HiddenTrace(*shape)
 
     # -- generation -----------------------------------------------------------
 
@@ -381,6 +377,7 @@ class DecoderModel:
         generated: list[int] = []
         step_masks: list[tuple[int, ...]] = []
         previous_mask: RouteMask | None = None
+        gate = None if gate_fn_factory is None else gate_fn_factory(rng)  # the gates draw from rng as they run
         tokens = prompt
         for _ in range(max_new):
             next_id = int(np.argmax(result.logits))
@@ -391,9 +388,7 @@ class DecoderModel:
                 break
             pos = len(tokens)
             tokens = tokens + [next_id]
-            if gate_fn_factory is not None:
-                gate = gate_fn_factory(rng)
-            else:
+            if gate_fn_factory is None:
                 assert plan is not None
                 previous_mask = plan.realize(rng, previous=previous_mask)
                 gate = _mask_gate(previous_mask.bits)
@@ -452,8 +447,7 @@ class DecoderModel:
             if not ((gate_bits == 0) | (gate_bits == 1)).all():
                 raise ValueError("gate_bits must be 0 or 1")
         states, h = self._gated_states(ids, gate_bits)
-        logits = self._ln(h, "final_ln") @ self.params["head.w"] + self.params["head.b"]
-        return states, logits
+        return states, self._logits(h)
 
     def _gated_states(
         self, ids: list[int], gate_bits: np.ndarray | None, reference: GenerationResult | None = None

@@ -60,9 +60,7 @@ def probe(
     skipped.
     """
     L = model.cfg.num_layers
-    for cost in cost_grid:
-        if not 1 <= cost <= L:
-            raise ValueError(f"cost {cost} outside [1, {L}]")
+    plans = [(s_idx, cost, template.with_cost(cost)) for s_idx, template in enumerate(strategies) for cost in cost_grid]
     eos = tokenizer.EOS if stop_at_eos else None
 
     # Per (strategy, label, cost): one (steps, L+1) similarity array per prompt.
@@ -73,13 +71,11 @@ def probe(
         p = len(prompt)
         if ref.trace.num_positions == p:
             continue
-        ref_states = np.stack(ref.trace.rows[p:])
-        for s_idx, template in enumerate(strategies):
-            for cost in cost_grid:
-                plan = template.with_cost(cost)
-                rng = np.random.default_rng((seed, s_idx, cost, i))
-                var_states, _ = model.replay_tokens(ref, plan, rng)
-                pooled.setdefault((s_idx, plan.label(), cost), []).append(cosine(ref_states, var_states[p:]))
+        ref_states = ref.trace.rows[p:]
+        for s_idx, cost, plan in plans:
+            rng = np.random.default_rng((seed, s_idx, cost, i))
+            var_states, _ = model.replay_tokens(ref, plan, rng)
+            pooled.setdefault((s_idx, plan.label(), cost), []).append(cosine(ref_states, var_states[p:]))
 
     if not pooled:
         raise ValueError("no generated steps to probe (every reference generation was empty)")

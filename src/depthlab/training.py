@@ -118,10 +118,13 @@ class AdamW:
 
 @dataclass
 class LogRow:
+    """One eval's train or val row; None where the row does not measure the
+    value (train rows take no ROUGE-L, val rows no loss)."""
+
     step: int
     split: str
-    loss: float
-    rouge_l: float
+    loss: float | None
+    rouge_l: float | None
     mean_cost: float
 
 
@@ -132,13 +135,13 @@ class TrainResult:
 
 
 def write_log_csv(log: Sequence[LogRow], path: str | Path) -> None:
+    """The log as CSV; a value a row does not measure is an empty cell."""
+    cell = lambda x: "" if x is None else f"{x:.6f}"
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["step", "split", "loss", "rouge_l", "mean_cost"])
         for row in log:
-            writer.writerow(
-                [row.step, row.split, f"{row.loss:.6f}", f"{row.rouge_l:.6f}", f"{row.mean_cost:.4f}"]
-            )
+            writer.writerow([row.step, row.split, cell(row.loss), cell(row.rouge_l), f"{row.mean_cost:.4f}"])
 
 
 def _target_weights(num_inputs: int, prompt_len: int) -> np.ndarray:
@@ -294,8 +297,8 @@ def _fit(
             # the full model runs every layer, also on generations that took no step
             val_cost = float(model.cfg.num_layers) if bank is None else mean_cost(bits)
             train_cost = float(np.mean(running_cost)) if running_cost else math.nan
-            log.append(LogRow(step, "train", float(np.mean(running_loss)), 0.0, train_cost))
-            log.append(LogRow(step, "val", 0.0, val_rouge, val_cost))
+            log.append(LogRow(step, "train", float(np.mean(running_loss)), None, train_cost))
+            log.append(LogRow(step, "val", None, val_rouge, val_cost))
             running_loss, running_cost = [], []
             if val_rouge > best_metric:
                 best_metric = val_rouge

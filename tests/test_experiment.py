@@ -163,6 +163,17 @@ def mute_out(run_dir, tmp_path):
     return out
 
 
+def test_train_logs_leave_unmeasured_values_empty(run_dir):
+    # train rows measure no ROUGE-L and val rows no loss; those cells are empty
+    out = run_dir / "out"
+    for path in (out / "checkpoints" / "train_log.csv", out / "controllers" / "hidden_a4" / "train_log.csv"):
+        log = list(csv.DictReader(path.read_text().splitlines()))
+        assert {r["split"] for r in log} == {"train", "val"}
+        for r in log:
+            empty, measured = ("rouge_l", "loss") if r["split"] == "train" else ("loss", "rouge_l")
+            assert r[empty] == "" and float(r[measured]) >= 0.0, (path, r)
+
+
 def test_all_empty_controller_sweep_reports_nan_cost(run_dir, mute_out):
     # A backbone that emits nothing: each generation takes no step, so there
     # is no realized cost to average.
@@ -586,11 +597,13 @@ def test_malformed_config_is_one_error_line(tmp_path, capsys, text):
         ("[probe]\nmax_sequences = 0\n", "max_sequences"),
         ("[oracle]\nbin_width = 0\n", "bin_width"),
         ("[oracle]\nnum_bins = 0\n", "num_bins"),
+        ("[controllers]\nexclude_first = true\n[model]\nnum_layers = 2\n", "exclude_first = true and exclude_last"),
     ],
     ids=["train.batch_size", "train.max_epochs", "train.max_eval_sequences", "train.eval_max_new",
          "controllers.batch_size", "controllers.max_epochs", "corpus.size", "corpus.min_words",
          "corpus.min_words_above_max_words", "corpus.size_with_an_empty_split", "controllers.temperature",
-         "generate.max_new", "probe.max_new", "probe.max_sequences", "oracle.bin_width", "oracle.num_bins"],
+         "generate.max_new", "probe.max_new", "probe.max_sequences", "oracle.bin_width", "oracle.num_bins",
+         "controllers.no_controlled_layer"],
 )
 def test_values_that_would_fail_late_or_train_nothing_are_refused_at_load(tmp_path, capsys, text, key):
     bad = tmp_path / "bad.ini"

@@ -106,7 +106,21 @@ def test_only_first_layer_executes_gives_layer1_output(model):
     cache, trace = model.new_state()
     model.routed_forward(tokens, mask, cache, trace)
     for t in range(3):
-        np.testing.assert_array_equal(trace.h(t, CFG.num_layers), trace.h(t, 1))
+        np.testing.assert_array_equal(trace.rows[t, CFG.num_layers], trace.rows[t, 1])
+
+
+def test_trace_rows_are_one_array_that_later_steps_leave_unchanged(model):
+    # After the prompt pass and after each step, `rows` is a (positions, L+1, d)
+    # array; a pass writes only positions after the ones a view already shows.
+    cache, trace = model.new_state()
+    model.routed_forward([1, 2, 3], full_mask(CFG.num_layers), cache, trace)
+    views = [(trace.rows, trace.rows.copy())]
+    for pos, bits in enumerate([(1, 0, 1, 0), (0, 0, 0, 0), (0, 1, 1, 1)], start=3):
+        model.step(5, pos, lambda l, _h, bits=bits: bits[l - 1], cache, trace)
+        views.append((trace.rows, trace.rows.copy()))
+    for n, (view, before) in enumerate(views, start=3):
+        assert isinstance(view, np.ndarray) and view.shape == (n, CFG.num_layers + 1, CFG.hidden_dim)
+        np.testing.assert_array_equal(view, before)
 
 
 def test_executed_count_equals_mask_cost(model):
@@ -149,7 +163,7 @@ def test_kv_fill_uses_nearest_executed_state(model):
     assert np.all(prov[2] == PROV_COMPUTED)
     assert np.all(prov[3] == PROV_FILLED)
     for layer in (2, 4):
-        k, v = model._kv_for_state(layer, np.stack([trace.h(pos, layer - 1) for pos in range(3)]))
+        k, v = model._kv_for_state(layer, np.stack([trace.rows[pos, layer - 1] for pos in range(3)]))
         np.testing.assert_array_equal(cache.keys[layer - 1, :3], k)
         np.testing.assert_array_equal(cache.values[layer - 1, :3], v)
 
@@ -171,7 +185,7 @@ def test_kv_fill_degenerate_only_layer1(model):
     assert np.all(prov[1:] == PROV_FILLED)
     # All fills derive from h^1 == h^2 == h^3 (pass-through).
     for l in (2, 3, 4):
-        k, _ = model._kv_for_state(l, np.stack([trace.h(pos, 1) for pos in range(2)]))
+        k, _ = model._kv_for_state(l, np.stack([trace.rows[pos, 1] for pos in range(2)]))
         np.testing.assert_array_equal(cache.keys[l - 1, :2], k)
 
 
@@ -483,13 +497,18 @@ def test_block_matches_naive_attention(long_model, tq, tk):
         keys, values = keys.copy(), values.copy()
     h = rng.normal(size=(tq, LONG_CFG.hidden_dim))
     p, prm = f"layer{layer}.", m.params
-    x = m._ln(h, p + "ln1")
+
+    def ln(x, name):
+        z = (x - x.mean(-1, keepdims=True)) / np.sqrt(x.var(-1, keepdims=True) + LONG_CFG.layer_norm_eps)
+        return z * prm[name + ".gain"] + prm[name + ".bias"]
+
+    x = ln(h, p + "ln1")
     q = x @ prm[p + "wq"] + prm[p + "bq"]
     keys = np.vstack([keys, x @ prm[p + "wk"] + prm[p + "bk"]])
     values = np.vstack([values, x @ prm[p + "wv"] + prm[p + "bv"]])
     attn = naive_attention(q, keys, values, LONG_CFG.num_heads)
     mid = h + attn @ prm[p + "wo"] + prm[p + "bo"]
-    u = m._ln(mid, p + "ln2") @ prm[p + "w1"] + prm[p + "b1"]
+    u = ln(mid, p + "ln2") @ prm[p + "w1"] + prm[p + "b1"]
     mlp = u / (1.0 + np.exp(-1.702 * u)) @ prm[p + "w2"] + prm[p + "b2"]
     kv = None if cache is None else lambda k, v: cache.kv_matrices(layer, cache.append_computed(layer, k, v))
     np.testing.assert_allclose(m._block(layer, h, kv), mid + mlp, rtol=0, atol=1e-12)

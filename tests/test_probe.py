@@ -49,7 +49,7 @@ def test_early_exit_shared_prefix_layers_identical(model, prompts):
     states, _ = model.replay_tokens(ref, RoutePlan.early_exit(CFG.num_layers, exit_layer))
     for t in range(len(prompt), len(forced)):
         for l in range(1, exit_layer + 1):
-            assert cosine(ref.trace.h(t, l), states[t, l]) == pytest.approx(1.0, abs=1e-12)
+            assert cosine(ref.trace.rows[t, l], states[t, l]) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_probe_deterministic_given_seed(model, prompts):
@@ -132,8 +132,8 @@ def _per_step_probe(model, prompts, strategies, cost_grid, seed, max_new):
                 states, _ = model.replay_tokens(ref, plan, np.random.default_rng((seed, s_idx, cost, i)))
                 finals, layerwise = pooled.setdefault((s_idx, plan.label(), cost), ([], []))
                 for t in range(p, len(forced)):
-                    finals.append(cosine(ref.trace.h(t, L), states[t, L]))
-                    layerwise.append(float(np.mean([cosine(ref.trace.h(t, l), states[t, l]) for l in range(1, L)])))
+                    finals.append(cosine(ref.trace.rows[t, L], states[t, L]))
+                    layerwise.append(float(np.mean([cosine(ref.trace.rows[t, l], states[t, l]) for l in range(1, L)])))
     return {key: (*mean_ci(f), *mean_ci(lw), len(f)) for key, (f, lw) in pooled.items()}
 
 
