@@ -17,7 +17,6 @@ import numpy as np
 class ShapeError(ValueError):
     def __init__(self, op: str, detail: str):
         super().__init__(f"{op}: {detail}")
-        self.op = op
 
 
 class NonFiniteError(RuntimeError):
@@ -116,7 +115,7 @@ class Graph:
             raise ShapeError("scale_rows", f"needs (t,d)*(t,), got {x.shape} and {scales.shape}")
         return self._record("scale_rows", (x, scales), x.data * scales.data[:, None])
 
-    def layer_norm(self, x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+    def layer_norm(self, x: Tensor, gain: Tensor, bias: Tensor, eps: float) -> Tensor:
         if x.data.ndim != 2:
             raise ShapeError("layer_norm", f"needs (t,d) input, got {x.shape}")
         if gain.shape != (x.shape[1],) or bias.shape != (x.shape[1],):

@@ -58,17 +58,14 @@ def gumbel_noise(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray
     return -np.log(-np.log(u + 1e-20) + 1e-20)
 
 
-def gate_sample(
-    logits: np.ndarray, cfg: GumbelConfig, rng: np.random.Generator
-) -> tuple[int, np.ndarray]:
-    """Sample one gate: returns the discrete execute bit and the continuous
-    Gumbel-Softmax surrogate probabilities used for backpropagation."""
+def gate_sample(logits: np.ndarray, cfg: GumbelConfig, rng: np.random.Generator) -> int:
+    """Sample one gate's execute bit: the argmax of the Gumbel-Softmax
+    surrogate, as the training tape's straight-through forward takes it."""
     logits = np.asarray(logits, dtype=np.float64)
     if logits.shape != (2,):
         raise ValueError(f"gate logits must be a 2-vector, got {logits.shape}")
     noisy = (logits + gumbel_noise(rng, (2,))) / cfg.temperature
-    surrogate = _softmax_forward(noisy)
-    return int(np.argmax(surrogate)), surrogate
+    return int(np.argmax(_softmax_forward(noisy)))
 
 
 class ControllerBank:
@@ -109,8 +106,7 @@ class ControllerBank:
         def fn(layer: int, h_prev: np.ndarray) -> int:
             if layer not in layer_set:
                 return 1
-            bit, _ = gate_sample(self.logits_for(layer, h_prev), self.gumbel, rng)
-            return bit
+            return gate_sample(self.logits_for(layer, h_prev), self.gumbel, rng)
 
         return fn
 

@@ -35,7 +35,7 @@ from .controller import (
     controlled_layers,
     init_controller_params,
 )
-from .corpus import CorpusSpec, Example, gen_corpus, read_jsonl, split_corpus, write_jsonl
+from .corpus import CorpusSpec, Example, _split_sizes, gen_corpus, read_jsonl, split_corpus, write_jsonl
 from .metrics import mean_ci, rouge_l_text
 from .model import DecoderModel, ModelConfig, init_params
 from .oracle import (
@@ -125,7 +125,6 @@ CONFIG_KEYS: dict[str, dict[str, tuple[str, Callable[[str], object]]]] = {
     },
     "train": {
         "learning_rate": ("1.5e-3", float),
-        "schedule": ("linear", str),
         "batch_size": ("8", int),
         "max_epochs": ("6", int),
         "patience": ("2", int),
@@ -204,6 +203,9 @@ class ExperimentConfig:
         L = self.model.num_layers
         with _section("corpus"):
             self.corpus = CorpusSpec(**self.values["corpus"])
+            test_rows = _split_sizes(self.corpus.size, self.corpus.splits)[2]
+            if test_rows < 2:  # train-controllers reports a 95% interval over the test generations
+                raise ValueError(f"size {self.corpus.size} leaves {test_rows} test row; the sweep's interval needs 2")
         with _section("train"):
             self.train = TrainConfig(seed=self.seed, **self.values["train"])
         with _section("controllers"):
@@ -472,7 +474,7 @@ def _generate(cfg: ExperimentConfig, out: Path, stage: Path, inputs: list[Path])
                     "text": text,
                     "label": ex.label,
                     "label_len": len(tokenizer.encode(ex.label)),
-                    "rouge_l": round(rouge_l_text(text, ex.label).f, 6),
+                    "rouge_l": round(rouge_l_text(text, ex.label), 6),
                 }
                 fh.write(json.dumps(record, sort_keys=True))
                 fh.write("\n")
@@ -498,7 +500,14 @@ def _probe(cfg: ExperimentConfig, out: Path, stage: Path, inputs: list[Path]) ->
 
 def _oracle(cfg: ExperimentConfig, out: Path, stage: Path, inputs: list[Path]) -> None:
     matrix = score_matrix_from_prediction_sets(inputs)
-    budgets = [b for b in cfg.budget_grid() if b >= min(matrix.costs)]
+    grid, cheapest = cfg.budget_grid(), min(matrix.costs)
+    budgets = [b for b in grid if b >= cheapest]
+    if not budgets:
+        raise ValueError(f"[oracle] budget_grid {grid} lies below the cheapest prediction set's cost {cheapest}")
+    if len(budgets) < len(grid):
+        dropped = ", ".join(f"{b:g}" for b in grid if b < cheapest)
+        print(f"warning: oracle: dropped [oracle] budget_grid {dropped}: below the cheapest prediction set's cost "
+              f"{cheapest}", file=sys.stderr)
     result = sweep(matrix, budgets)
     score_matrix_to_csv(matrix, stage / "score_matrix.csv")
     sweep_to_csv(result, stage / "sweep.csv")

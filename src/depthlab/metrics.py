@@ -4,19 +4,11 @@ similarity, and mean/confidence-interval aggregation."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 _Z_95 = 1.95996
-
-
-@dataclass(frozen=True)
-class RougeScore:
-    precision: float
-    recall: float
-    f: float
 
 
 def lcs_length(a: Sequence, b: Sequence) -> int:
@@ -37,20 +29,19 @@ def lcs_length(a: Sequence, b: Sequence) -> int:
     return prev[n]
 
 
-def rouge_l(candidate: Sequence, reference: Sequence) -> RougeScore:
-    """LCS-based ROUGE-L over token sequences.
-
-    P = LCS/|candidate|, R = LCS/|reference|; F is their harmonic mean (F1).
-    Empty candidate or reference yields all zeros.
+def rouge_l(candidate: Sequence, reference: Sequence) -> float:
+    """LCS-based ROUGE-L F over token sequences: the harmonic mean (F1) of
+    P = LCS/|candidate| and R = LCS/|reference|. Empty candidate or
+    reference yields 0.
     """
     if len(candidate) == 0 or len(reference) == 0:
-        return RougeScore(0.0, 0.0, 0.0)
+        return 0.0
     lcs = lcs_length(candidate, reference)
     p = lcs / len(candidate)
     r = lcs / len(reference)
     if p + r == 0:
-        return RougeScore(p, r, 0.0)
-    return RougeScore(p, r, 2 * p * r / (r + p))
+        return 0.0
+    return 2 * p * r / (r + p)
 
 
 def tokenize_for_rouge(text: str) -> list[str]:
@@ -62,8 +53,8 @@ def tokenize_for_rouge(text: str) -> list[str]:
     return tokens
 
 
-def rouge_l_text(candidate: str, reference: str) -> RougeScore:
-    """ROUGE-L on raw strings using the shared whitespace tokenization."""
+def rouge_l_text(candidate: str, reference: str) -> float:
+    """ROUGE-L F on raw strings using the shared whitespace tokenization."""
     return rouge_l(tokenize_for_rouge(candidate), tokenize_for_rouge(reference))
 
 

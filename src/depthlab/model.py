@@ -229,9 +229,9 @@ def _mask_gate(bits: Sequence[int]) -> GateFn:
 
 
 class DecoderModel:
-    def __init__(self, cfg: ModelConfig, params: dict[str, np.ndarray] | None = None, seed: int = 0):
+    def __init__(self, cfg: ModelConfig, params: dict[str, np.ndarray]):
         self.cfg = cfg
-        self.params = params if params is not None else init_params(cfg, seed)
+        self.params = params
         for name, shape in param_shapes(cfg).items():
             if self.params[name].shape != shape:
                 raise ValueError(f"parameter {name} has shape {self.params[name].shape}, expected {shape}")

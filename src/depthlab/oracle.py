@@ -61,7 +61,6 @@ class ScoreMatrix:
 @dataclass
 class BudgetAssignment:
     beta: float
-    chosen_columns: list[int]
     chosen_costs: list[int]
     mean_score: float
     mean_cost: float
@@ -98,7 +97,6 @@ def _make_assignment(matrix: ScoreMatrix, beta: float, columns: list[int]) -> Bu
     pct = {c: 100.0 * counts[c] / matrix.n for c in matrix.costs}
     return BudgetAssignment(
         beta=beta,
-        chosen_columns=columns,
         chosen_costs=chosen_costs,
         mean_score=_suffix_score(matrix.scores, columns) / matrix.n,
         mean_cost=total_cost / matrix.n,
@@ -303,8 +301,8 @@ class Chi2Result:
 def chi_square_homogeneity(
     assignment: BudgetAssignment,
     label_lengths: Sequence[int],
-    bin_width: int = 15,
-    num_bins: int = 11,
+    bin_width: int,
+    num_bins: int,
 ) -> Chi2Result:
     """Chi-square test that model selection is homogeneous across label-length
     bins.

@@ -83,6 +83,8 @@ def probe(
     entries = []
     for (_s_idx, label, cost), per_prompt in sorted(pooled.items()):
         sims = np.concatenate(per_prompt)
+        if len(sims) < 2:
+            raise ValueError(f"strategy {label} at cost {cost} pools {len(sims)} step; its 95% interval needs 2")
         f_mean, f_half = mean_ci(sims[:, L])
         l_mean, l_half = mean_ci(sims[:, 1:L].mean(axis=1))
         entries.append(

@@ -28,10 +28,6 @@ class RouteMask:
         if sum(self.bits) < 1:
             raise ValueError("mask must execute at least one layer")
 
-    @property
-    def cost(self) -> int:
-        return sum(self.bits)
-
 
 def full_mask(num_layers: int) -> RouteMask:
     return RouteMask(tuple([1] * num_layers))

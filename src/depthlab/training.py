@@ -30,7 +30,6 @@ class TrainingDiverged(RuntimeError):
 @dataclass
 class TrainConfig:
     learning_rate: float = 5e-5
-    schedule: str = "linear"  # "linear" decay to zero, or "constant"
     batch_size: int = 8
     max_epochs: int = 6
     patience: int = 1
@@ -45,8 +44,8 @@ class TrainConfig:
     max_eval_sequences: int = 32
     eval_max_new: int = 48
     # Gate parameters see ~100x fewer optimizer steps at desk scale than the
-    # backbone did at paper scale; they get their own rate (None = shared).
-    controller_learning_rate: float | None = None
+    # backbone did at paper scale; they get their own rate.
+    controller_learning_rate: float = 0.05
 
     def __post_init__(self) -> None:
         for name in ("batch_size", "max_epochs", "max_eval_sequences", "eval_max_new"):
@@ -58,12 +57,6 @@ class TrainConfig:
             raise ValueError("eval_every must be in (0, 1]")
         if not 0 <= self.layerdrop_prob < 1:
             raise ValueError("layerdrop_prob must be in [0, 1)")
-        if self.schedule not in ("linear", "constant"):
-            raise ValueError(f"schedule must be 'linear' or 'constant', got {self.schedule!r}")
-
-    @property
-    def controller_lr(self) -> float:
-        return self.learning_rate if self.controller_learning_rate is None else self.controller_learning_rate
 
 
 class AdamW:
@@ -197,7 +190,7 @@ def rouge_eval(
             max_new=cfg.eval_max_new,
             rng_seed=int(np.random.default_rng((*key, i)).integers(2**31)),
         )
-        scores.append(rouge_l_text(tokenizer.decode(res.generated_ids), ex.label).f)
+        scores.append(rouge_l_text(tokenizer.decode(res.generated_ids), ex.label))
         bits.append(np.asarray(res.step_masks, dtype=np.int64).reshape(-1, model.cfg.num_layers))
     return scores, bits
 
@@ -209,13 +202,24 @@ def mean_cost(bits: Sequence[np.ndarray]) -> float:
     return float(np.mean(costs)) if costs else math.nan
 
 
-def _schedule_factor(cfg: TrainConfig, step: int, total_steps: int) -> float:
-    if cfg.schedule == "constant":
-        return 1.0
+def _schedule_factor(step: int, total_steps: int) -> float:
+    """The learning-rate factor at `step`: linear decay to zero."""
     return max(0.0, 1.0 - step / max(total_steps, 1))
 
 
 SequenceStep = Callable[[Example], tuple[float, dict[str, np.ndarray], float]]
+
+
+def _check_context(max_context: int, train_examples: Sequence[Example], val_examples: Sequence[Example]) -> None:
+    """Refuse, before the first step, a training sequence as the tape reads
+    it (`full_ids[:-1]`) or a validation prompt that `rouge_eval` decodes
+    longer than max_context; either would stop training at the batch or eval
+    that first reaches it."""
+    sized = [(f"training example {ex.id}", len(tokenize_example(ex).full_ids) - 1) for ex in train_examples]
+    sized += [(f"validation prompt {ex.id}", len(tokenizer.encode(ex.prompt, add_bos=True))) for ex in val_examples]
+    for what, n in sized:
+        if n > max_context:
+            raise ValueError(f"{what} is {n} tokens, more than max_context {max_context}")
 
 
 def _fit(
@@ -243,6 +247,7 @@ def _fit(
         raise ValueError("empty training corpus")
     if len(val_examples) == 0:  # every val ROUGE-L would be nan and no snapshot would beat the initial one
         raise ValueError("empty validation split")
+    _check_context(model.cfg.max_context, train_examples, val_examples[: cfg.max_eval_sequences])
     steps_per_epoch = math.ceil(len(train_examples) / cfg.batch_size)
     total_steps = steps_per_epoch * cfg.max_epochs
     eval_interval = max(1, round(cfg.eval_every * steps_per_epoch))
@@ -283,7 +288,7 @@ def _fit(
         scale = 1.0 / len(batch)
         for grad in acc.values():
             grad *= scale
-        factor = _schedule_factor(cfg, step, total_steps)
+        factor = _schedule_factor(step, total_steps)
         for params, lr, optimizer in optimizers:
             optimizer.step(params, acc, lr * factor)
         running_loss.append(batch_loss * scale)
@@ -446,7 +451,7 @@ def train_controllers(
         return controller_sequence_loss(model, bank, teacher, ex, alpha, gumbel_rng, cfg.freeze_backbone)
 
     data_rng = np.random.default_rng((cfg.seed, 2))
-    groups = [(bank.params, cfg.controller_lr)]
+    groups = [(bank.params, cfg.controller_learning_rate)]
     if not cfg.freeze_backbone:
         groups.append((model.params, cfg.learning_rate))
     return _fit(model, bank, train_examples, val_examples, cfg, data_rng, lambda: sequence_step, groups)

@@ -14,7 +14,7 @@ from depthlab.autodiff import (
     gradient_check,
 )
 from depthlab.corpus import Example
-from depthlab.model import DecoderModel, ModelConfig
+from depthlab.model import DecoderModel, ModelConfig, init_params
 
 
 def test_matmul_identity():
@@ -333,7 +333,8 @@ def test_backprop_consumes_the_tape(monkeypatch):
     # their data and grads, and the tape cannot be swept a second time.
     tapes = []
     monkeypatch.setattr(training, "backpropagate", lambda g, loss: tapes.append((g, loss)) or backpropagate(g, loss))
-    model = DecoderModel(ModelConfig(num_layers=3, hidden_dim=16, num_heads=2, ffn_dim=32, max_context=32))
+    cfg = ModelConfig(num_layers=3, hidden_dim=16, num_heads=2, ffn_dim=32, max_context=32)
+    model = DecoderModel(cfg, init_params(cfg, 0))
     loss_value, grads = training.sequence_loss_and_grads(model, Example("x", "copy: ab", "ab"))
     ((g, loss),) = tapes
     assert g.backpropagated

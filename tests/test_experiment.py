@@ -1,6 +1,7 @@
 import argparse
 import csv
 import json
+import re
 import shutil
 from pathlib import Path
 
@@ -194,6 +195,18 @@ def test_a_stage_whose_body_fails_writes_no_records(run_dir, mute_out, tmp_path,
     assert main(["probe", "--config", str(config), "--out", str(mute_out)]) == 1
     assert "every reference generation was empty" in capsys.readouterr().err
     assert list((mute_out / "probe").iterdir()) == []
+
+
+def test_train_refuses_a_sequence_longer_than_max_context_before_the_first_step(run_dir, tmp_path, capsys):
+    out = tmp_path / "out"
+    shutil.copytree(run_dir / "out" / "corpus", out / "corpus")
+    config = tmp_path / "short.ini"
+    config.write_text((run_dir / "tiny.ini").read_text().replace("max_context = 96", "max_context = 20"))
+    assert main(["train", "--config", str(config), "--out", str(out)]) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    match = re.fullmatch(r"error: training example \S+ is (\d+) tokens, more than max_context 20", line)
+    assert match and int(match[1]) > 20
+    assert list((out / "checkpoints").iterdir()) == []
 
 
 @pytest.mark.parametrize("stage", ["train-controllers", "generate", "probe"])
@@ -422,18 +435,16 @@ def test_misspelled_boolean_rejected(tmp_path, capsys):
 
 def test_bad_training_values_rejected_at_load(tmp_path, capsys):
     # [train] and [controllers] become TrainConfigs when the config loads,
-    # so a misspelled schedule fails before any stage runs
+    # so an out-of-range value fails before any stage runs
     bad = tmp_path / "bad.ini"
-    bad.write_text("[train]\nschedule = constnat\n")
-    with pytest.raises(ValueError, match="'constnat'"):
+    bad.write_text("[train]\neval_every = 2\n")
+    with pytest.raises(ValueError, match="eval_every"):
         ExperimentConfig.load(bad)
     assert main(["gen-corpus", "--config", str(bad), "--out", str(tmp_path / "o")]) == 1
-    assert "'constnat'" in capsys.readouterr().err
+    assert "[train] eval_every must be in (0, 1]" in capsys.readouterr().err
     bad.write_text("[controllers]\npatience = -1\n")
     with pytest.raises(ValueError, match="patience"):
         ExperimentConfig.load(bad)
-    bad.write_text("[train]\nschedule = constant\n")
-    assert ExperimentConfig.load(bad).train.schedule == "constant"
 
 
 @pytest.mark.parametrize(
@@ -504,7 +515,6 @@ REFUSED_VALUES = {
     ("corpus", "alphabet"): "ABC",
     ("corpus", "splits"): "0.5,0.2,0.2",
     ("train", "learning_rate"): "fast",
-    ("train", "schedule"): "cosine",
     ("train", "batch_size"): "x",
     ("train", "max_epochs"): "x",
     ("train", "patience"): "-1",
@@ -539,9 +549,9 @@ REFUSED_VALUES = {
 
 
 def test_the_key_table_keeps_every_default_text():
-    # the parent's hashes of the default config: each key's default text is kept
+    # the hashes of the default config: each key's default text is kept
     cfg = ExperimentConfig.load(None)
-    assert cfg.config_hash() == "2df8ca34ba25d412"
+    assert cfg.config_hash() == "bff30d04b6294138"
     assert cfg.model_config_hash() == "e7befd358c2337c8"
     assert set(REFUSED_VALUES) == {(section, key) for section, keys in CONFIG_KEYS.items() for key in keys}
 
@@ -591,6 +601,7 @@ def test_malformed_config_is_one_error_line(tmp_path, capsys, text):
         ("[corpus]\nmin_words = 0\n", "min_words"),
         ("[corpus]\nmin_words = 3\nmax_words = 1\n", "min_words"),
         ("[corpus]\nsize = 3\n", "size"),
+        ("[corpus]\nsize = 7\n", "size 7 leaves 1 test row"),
         ("[controllers]\ntemperature = 0\n", "temperature"),
         ("[generate]\nmax_new = 0\n", "max_new"),
         ("[probe]\nmax_new = 0\n", "max_new"),
@@ -601,7 +612,8 @@ def test_malformed_config_is_one_error_line(tmp_path, capsys, text):
     ],
     ids=["train.batch_size", "train.max_epochs", "train.max_eval_sequences", "train.eval_max_new",
          "controllers.batch_size", "controllers.max_epochs", "corpus.size", "corpus.min_words",
-         "corpus.min_words_above_max_words", "corpus.size_with_an_empty_split", "controllers.temperature",
+         "corpus.min_words_above_max_words", "corpus.size_with_an_empty_split", "corpus.size_with_one_test_row",
+         "controllers.temperature",
          "generate.max_new", "probe.max_new", "probe.max_sequences", "oracle.bin_width", "oracle.num_bins",
          "controllers.no_controlled_layer"],
 )
@@ -699,6 +711,27 @@ def test_chi2_tests_the_assignment_the_oracle_wrote(tmp_path, capsys):
     assert (out / "chi2" / "chi2_beta4.json").exists()
 
 
+def test_oracle_names_the_budgets_below_the_cheapest_cost(tmp_path, capsys):
+    out = tmp_path / "out"
+    _write_prediction_sets(out, np.random.default_rng(1), n=12)
+    grid = tmp_path / "grid.ini"
+    grid.write_text("[oracle]\nbudget_grid = 0.5,3,1,4\n")
+    assert main(["oracle", "--config", str(grid), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == (
+        "warning: oracle: dropped [oracle] budget_grid 0.5, 1: below the cheapest prediction set's cost 2\n"
+    )
+    rows = csv.DictReader((out / "oracle" / "sweep.csv").read_text().splitlines())
+    assert [row["beta"] for row in rows] == ["3", "4"]
+
+    # a grid with no budget left is refused, and the stage writes nothing
+    shutil.rmtree(out / "oracle")
+    grid.write_text("[oracle]\nbudget_grid = 0.5\n")
+    assert main(["oracle", "--config", str(grid), "--out", str(out)]) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line == "error: [oracle] budget_grid [0.5] lies below the cheapest prediction set's cost 2"
+    assert list((out / "oracle").iterdir()) == []
+
+
 def test_chi2_reads_the_oracle_score_matrix_not_the_prediction_sets(tmp_path):
     out = tmp_path / "out"
     pred = out / "predictions"
@@ -752,8 +785,9 @@ def test_oracle_flags_a_degenerate_sweep(tmp_path, capsys):
     summary = json.loads((out / "oracle" / "summary.json").read_text())
     assert summary["columns_kept"] == n
     assert summary["degenerate"] is True
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and err.startswith("warning: oracle: no model scores above the cheapest")
+    dropped, flat = capsys.readouterr().err.splitlines()  # the default grid holds budgets 1 and 1.5
+    assert dropped == "warning: oracle: dropped [oracle] budget_grid 1, 1.5: below the cheapest prediction set's cost 2"
+    assert flat.startswith("warning: oracle: no model scores above the cheapest")
 
     out = tmp_path / "graded"
     _write_prediction_sets(out, np.random.default_rng(0), n=n, costs=costs)
@@ -761,4 +795,4 @@ def test_oracle_flags_a_degenerate_sweep(tmp_path, capsys):
     summary = json.loads((out / "oracle" / "summary.json").read_text())
     assert n < summary["columns_kept"] <= n * len(costs)
     assert summary["degenerate"] is False
-    assert capsys.readouterr().err == ""
+    assert capsys.readouterr().err == dropped + "\n"  # no degeneracy warning

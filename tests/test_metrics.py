@@ -44,37 +44,30 @@ def test_lcs_matches_brute_force_sampled_length_8():
 
 
 def test_rouge_identical_sequences():
-    score = rouge_l("abca", "abca")
-    assert (score.precision, score.recall, score.f) == pytest.approx((1.0, 1.0, 1.0))
+    assert rouge_l("abca", "abca") == pytest.approx(1.0)
 
 
 def test_rouge_fixture_four_tokens():
     # candidate "a b c d" vs reference "a c d e": LCS = a c d.
-    score = rouge_l(["a", "b", "c", "d"], ["a", "c", "d", "e"])
-    assert score.precision == pytest.approx(0.75)
-    assert score.recall == pytest.approx(0.75)
-    assert score.f == pytest.approx(0.75)
+    assert rouge_l(["a", "b", "c", "d"], ["a", "c", "d", "e"]) == pytest.approx(0.75)
     assert brute_force_lcs("abcd", "acde") == 3
 
 
 def test_rouge_empty_candidate_or_reference():
-    empty = rouge_l([], ["a"])
-    assert (empty.precision, empty.recall, empty.f) == (0.0, 0.0, 0.0)
-    empty = rouge_l(["a"], [])
-    assert (empty.precision, empty.recall, empty.f) == (0.0, 0.0, 0.0)
+    assert rouge_l([], ["a"]) == 0.0
+    assert rouge_l(["a"], []) == 0.0
 
 
 def test_rouge_f_swap_symmetry_for_equal_lengths():
     a, b = list("abcab"), list("babca")
-    assert rouge_l(a, b).f == pytest.approx(rouge_l(b, a).f)
+    assert rouge_l(a, b) == pytest.approx(rouge_l(b, a))
 
 
 def test_rouge_self_is_perfect_random_tokens():
     rng = np.random.default_rng(0)
     for _ in range(20):
         toks = [str(i) for i in rng.integers(0, 5, size=rng.integers(1, 12))]
-        score = rouge_l(toks, toks)
-        assert (score.precision, score.recall, score.f) == (1.0, 1.0, 1.0)
+        assert rouge_l(toks, toks) == 1.0
 
 
 def test_tokenize_lowercases_and_strips_punctuation():
@@ -83,7 +76,7 @@ def test_tokenize_lowercases_and_strips_punctuation():
 
 
 def test_rouge_text_wrapper():
-    assert rouge_l_text("a b c d", "a c d e").f == pytest.approx(0.75)
+    assert rouge_l_text("a b c d", "a c d e") == pytest.approx(0.75)
 
 
 def test_cosine_identical_and_orthogonal():

@@ -132,7 +132,7 @@ def test_executed_count_equals_mask_cost(model):
         mask = RouteMask(bits)
         cache, trace = model.new_state()
         res = model.routed_forward([1, 2], mask, cache, trace)
-        assert sum(res.bits) == mask.cost
+        assert sum(res.bits) == sum(mask.bits)
 
 
 def test_cache_position_consistency_error(model):
@@ -423,7 +423,7 @@ def test_tape_forward_layerdrop_leaves_dropped_params_off_graph(model, monkeypat
     # tape holds the two embeddings, the final layer norm, the head and the loss.
     tapes = []
     monkeypatch.setattr(training, "backpropagate", lambda g, loss: tapes.append(g) or backpropagate(g, loss))
-    default = DecoderModel(ModelConfig())
+    default = DecoderModel(ModelConfig(), init_params(ModelConfig(), 0))
     training.sequence_loss_and_grads(default, Example("x", "copy: ab", "ab"), skip_layers={2, 5})
     (g,) = tapes
     ops = Counter(node.op for node in g.nodes)

@@ -71,7 +71,7 @@ def test_exact_unconstrained_picks_row_argmax():
     matrix = make_matrix(rng.uniform(size=(6, 4)), costs=[4, 8, 12, 24])
     result = solve_exact(matrix, beta=24)
     expected = [int(np.argmax(matrix.scores[i])) for i in range(matrix.n)]
-    assert result.chosen_columns == expected
+    assert result.chosen_costs == [matrix.costs[j] for j in expected]
 
 
 def test_exact_at_min_budget_all_cheapest():
@@ -99,7 +99,7 @@ def test_exact_matches_enumeration_on_random_instances():
         got = solve_exact(matrix, beta)
         want_score, want_cols = enumerate_exact(matrix, beta)
         assert got.mean_score == want_score / matrix.n
-        assert got.chosen_columns == want_cols
+        assert got.chosen_costs == [matrix.costs[j] for j in want_cols]
 
 
 def test_exact_tie_break_prefers_lower_cost_then_lex():
@@ -128,7 +128,7 @@ def test_exact_tie_break_matches_enumeration_with_constructed_ties():
         got = solve_exact(matrix, beta)
         want_score, want_cols = enumerate_exact(matrix, beta)
         assert got.mean_score == want_score / matrix.n
-        assert got.chosen_columns == want_cols
+        assert got.chosen_costs == [matrix.costs[j] for j in want_cols]
 
 
 def test_exact_row_order_independence():
@@ -147,7 +147,7 @@ def test_exact_with_more_than_256_columns():
     scores[:, 299] = 1.0
     matrix = make_matrix(scores, costs=range(1, 301))
     result = solve_exact(matrix, beta=300)
-    assert result.chosen_columns == [299, 299]
+    assert result.chosen_costs == [300, 300]
 
 
 def test_duplicate_costs_rejected():
@@ -180,7 +180,7 @@ def test_greedy_equals_exact_at_max_cost():
     matrix = make_matrix(rng.uniform(size=(8, 4)), costs=[4, 8, 12, 24])
     exact = solve_exact(matrix, beta=24)
     greedy = solve_greedy(matrix, beta=24)
-    assert exact.chosen_columns == greedy.chosen_columns
+    assert exact.chosen_costs == greedy.chosen_costs
 
 
 def greedy_loop(matrix, beta):
@@ -206,8 +206,7 @@ def test_greedy_matches_loop_on_ties():
         beta = float(rng.uniform(min(costs), max(costs) + 1))
         result = solve_greedy(matrix, beta)
         columns = greedy_loop(matrix, beta)
-        assert result.chosen_columns == columns
-        assert all(type(j) is int for j in result.chosen_columns)
+        assert result.chosen_costs == [matrix.costs[j] for j in columns]
         assert result.mean_score == suffix_fold(matrix.scores, columns) / matrix.n
 
 
@@ -292,7 +291,7 @@ def test_sweep_points_equal_per_beta_solve_exact():
         assert [pt.beta for pt in result.points] == sorted(grid)
         for pt in result.points:
             want = solve_exact(matrix, pt.beta)
-            assert pt.assignment.chosen_columns == want.chosen_columns
+            assert pt.assignment.chosen_costs == want.chosen_costs
             assert pt.assignment.mean_score == want.mean_score
             assert pt.assignment.mean_cost == want.mean_cost
             assert pt.assignment.selection_pct == want.selection_pct
@@ -351,11 +350,11 @@ def test_pruned_sweep_equals_unpruned_reference(monkeypatch):
         assert got.star_beta == want.star_beta
         for a, b in zip(got.points, want.points, strict=True):
             assert a.beta == b.beta
-            assert a.assignment.chosen_columns == b.assignment.chosen_columns
+            assert a.assignment.chosen_costs == b.assignment.chosen_costs
             assert a.assignment.mean_score == b.assignment.mean_score
             assert a.assignment.mean_cost == b.assignment.mean_cost
         for beta in grid[:: max(1, len(grid) // 3)]:
-            assert solve_exact(matrix, beta).chosen_columns == want.points[grid.index(beta)].assignment.chosen_columns
+            assert solve_exact(matrix, beta).chosen_costs == want.points[grid.index(beta)].assignment.chosen_costs
 
 
 def test_columns_kept_counts_undominated_pairs():
@@ -492,7 +491,6 @@ def _assignment(chosen_costs, all_costs):
     counts = {c: chosen_costs.count(c) for c in all_costs}
     return BudgetAssignment(
         beta=float(max(all_costs)),
-        chosen_columns=[all_costs.index(c) for c in chosen_costs],
         chosen_costs=list(chosen_costs),
         mean_score=0.5,
         mean_cost=sum(chosen_costs) / n,
@@ -505,7 +503,7 @@ def test_chi2_identical_proportions_gives_zero():
     # Two bins, both with 5 of each model.
     chosen = [4] * 5 + [8] * 5 + [4] * 5 + [8] * 5
     lengths = [5] * 10 + [20] * 10
-    result = chi_square_homogeneity(_assignment(chosen, [4, 8]), lengths)
+    result = chi_square_homogeneity(_assignment(chosen, [4, 8]), lengths, bin_width=15, num_bins=11)
     assert result.statistic == pytest.approx(0.0, abs=1e-12)
     assert result.p_value == pytest.approx(1.0)
 
@@ -514,7 +512,7 @@ def test_chi2_fixture_2x2():
     # Contingency table [[10, 20], [20, 10]].
     chosen = [4] * 10 + [8] * 20 + [4] * 20 + [8] * 10
     lengths = [5] * 30 + [20] * 30
-    result = chi_square_homogeneity(_assignment(chosen, [4, 8]), lengths)
+    result = chi_square_homogeneity(_assignment(chosen, [4, 8]), lengths, bin_width=15, num_bins=11)
     assert result.statistic == pytest.approx(6.6667, abs=1e-3)
     assert result.dof == 1
     assert result.p_value == pytest.approx(0.00982, abs=1e-4)
@@ -524,7 +522,7 @@ def test_chi2_drops_empty_bins_and_unused_models():
     chosen = [4] * 10 + [8] * 10
     lengths = [5] * 10 + [170] * 10  # bins 1 and 11 only
     assignment = _assignment(chosen, [4, 8, 12])  # model 12 never selected
-    result = chi_square_homogeneity(assignment, lengths)
+    result = chi_square_homogeneity(assignment, lengths, bin_width=15, num_bins=11)
     assert 12 in result.dropped_models
     assert len(result.dropped_bins) == 9
     assert result.table.shape == (2, 2)
@@ -534,7 +532,7 @@ def test_chi2_binning_rule():
     # Length 15 falls in bin 1, 16 in bin 2, 151 in the open-ended last bin.
     chosen = [4, 8, 4, 8, 4, 8]
     lengths = [1, 15, 16, 30, 151, 400]
-    result = chi_square_homogeneity(_assignment(chosen, [4, 8]), lengths)
+    result = chi_square_homogeneity(_assignment(chosen, [4, 8]), lengths, bin_width=15, num_bins=11)
     assert result.bin_labels == ["1-15", "16-30", ">150"]
     assert result.table.sum() == 6
 
@@ -542,7 +540,7 @@ def test_chi2_binning_rule():
 def test_chi2_degenerate_single_model():
     chosen = [4] * 12
     lengths = [5] * 6 + [20] * 6
-    result = chi_square_homogeneity(_assignment(chosen, [4]), lengths)
+    result = chi_square_homogeneity(_assignment(chosen, [4]), lengths, bin_width=15, num_bins=11)
     assert result.dof == 0
     assert result.p_value == 1.0
 

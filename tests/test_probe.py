@@ -66,6 +66,11 @@ def test_probe_rejects_out_of_range_cost(model, prompts):
         probe(model, prompts, [RoutePlan.full(CFG.num_layers)], [CFG.num_layers + 1])
 
 
+def test_a_set_that_pools_one_step_is_refused_naming_it(model):
+    with pytest.raises(ValueError, match=r"strategy ee_2 at cost 2 pools 1 step; its 95% interval needs 2"):
+        probe(model, [[1, 2, 3]], [RoutePlan.early_exit(4, 4)], [2], max_new=1, stop_at_eos=False)
+
+
 def test_compare_strategies_singleton_and_duplicates(model, prompts):
     single = probe(model, prompts, [RoutePlan.uniform_skip(CFG.num_layers, CFG.num_layers)], [2], max_new=4)
     rows = compare_strategies(single)

@@ -17,7 +17,6 @@ def _assignment(chosen_costs, all_costs):
     n = len(chosen_costs)
     return BudgetAssignment(
         beta=float(max(all_costs)),
-        chosen_columns=[all_costs.index(c) for c in chosen_costs],
         chosen_costs=list(chosen_costs),
         mean_score=0.5,
         mean_cost=sum(chosen_costs) / n,
@@ -48,11 +47,11 @@ def test_chi2_sf_edge_cases():
     # Three models in equal shares in both bins: statistic 0 on 2 dof.
     chosen = [4, 8, 12] * 4 + [4, 8, 12] * 4
     lengths = [5] * 12 + [20] * 12
-    result = chi_square_homogeneity(_assignment(chosen, [4, 8, 12]), lengths)
+    result = chi_square_homogeneity(_assignment(chosen, [4, 8, 12]), lengths, bin_width=15, num_bins=11)
     assert result.dof == 2
     assert result.statistic == pytest.approx(0.0, abs=1e-12)
     assert result.p_value == 1.0
     # chdtrc gives 0 on 0 dof; a table with one model reports p = 1 instead.
-    single = chi_square_homogeneity(_assignment([4] * 12, [4]), lengths[:12])
+    single = chi_square_homogeneity(_assignment([4] * 12, [4]), lengths[:12], bin_width=15, num_bins=11)
     assert single.dof == 0
     assert single.p_value == 1.0

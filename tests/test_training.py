@@ -45,6 +45,7 @@ def quick_cfg(**kwargs) -> TrainConfig:
         eval_max_new=8,
     )
     base.update(kwargs)
+    base.setdefault("controller_learning_rate", base["learning_rate"])
     return TrainConfig(**base)
 
 
@@ -417,13 +418,6 @@ def test_controller_loss_cost_is_the_mean_cost_of_the_label_rows():
     # an empty label leaves no rows: no cost, not a fallback of L
     cost, rows = cost_and_label_rows(Example("e", "copy: ab", ""))
     assert len(rows) == 0 and np.isnan(cost)
-
-
-def test_unknown_schedule_rejected():
-    for schedule in ("linear", "constant"):
-        assert TrainConfig(schedule=schedule).schedule == schedule
-    with pytest.raises(ValueError, match="'constnat'"):
-        TrainConfig(schedule="constnat")
 
 
 def test_train_cost_leaves_out_sequences_without_label_rows():
